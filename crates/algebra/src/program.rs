@@ -1,7 +1,8 @@
 //! Programs in the tabular algebra (paper §3.6): sequences of assignment
 //! statements `T ← op(params)(args)` and `while R ≠ ∅ do P` loops.
 
-use crate::param::Param;
+use crate::param::{Item, Param};
+use tabular_core::Symbol;
 
 /// The operation of an assignment statement, with its operation-specific
 /// parameters. Arguments (table-name parameters) live on the enclosing
@@ -265,6 +266,37 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.statements.is_empty()
     }
+
+    /// The program's output names (§3.6: "the names of output tables
+    /// should be specified as part of the program"): the literal target
+    /// of every assignment, `while` bodies included, each once in order
+    /// of first assignment. `None` when some target is not one literal
+    /// symbol (a wildcard or a set-valued parameter), since the names it
+    /// writes are then known only at run time.
+    pub fn output_names(&self) -> Option<Vec<Symbol>> {
+        fn collect(stmts: &[Statement], out: &mut Vec<Symbol>) -> Option<()> {
+            for stmt in stmts {
+                match stmt {
+                    Statement::Assign(a) => {
+                        let name =
+                            match (a.target.positive.as_slice(), a.target.negative.as_slice()) {
+                                ([Item::Sym(s)], []) => *s,
+                                ([Item::Null], []) => Symbol::Null,
+                                _ => return None,
+                            };
+                        if !out.contains(&name) {
+                            out.push(name);
+                        }
+                    }
+                    Statement::While { body, .. } => collect(body, out)?,
+                }
+            }
+            Some(())
+        }
+        let mut out = Vec::new();
+        collect(&self.statements, &mut out)?;
+        Some(out)
+    }
 }
 
 #[cfg(test)]
@@ -300,5 +332,42 @@ mod tests {
             );
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn output_names_are_the_literal_targets() {
+        let parse = |src| crate::parser::parse(src).unwrap();
+        let nm = Symbol::name;
+        assert_eq!(parse("").output_names(), Some(vec![]));
+        // Every assignment counts once, in first-assignment order, and
+        // loop bodies are walked.
+        let p = parse(
+            "T <- COPY(R)
+             while T do
+               U <- TRANSPOSE(T)
+               T <- DIFFERENCE(T, T)
+             end
+             V <- COPY(U)",
+        );
+        assert_eq!(p.output_names(), Some(vec![nm("T"), nm("U"), nm("V")]));
+        // A wildcard target, anywhere, leaves the outputs to run time.
+        assert_eq!(parse("*1 <- TRANSPOSE(*1)").output_names(), None);
+        assert_eq!(
+            parse("T <- COPY(R)\nwhile T do *1 <- COPY(*1) end").output_names(),
+            None
+        );
+        // So does a set-valued target.
+        let set = Program::new().assign(
+            Param::names(&["A", "B"]),
+            OpKind::Copy,
+            vec![Param::name("R")],
+        );
+        assert_eq!(set.output_names(), None);
+        let minus = Program::new().assign(
+            Param::name("A").minus(Param::name("B")),
+            OpKind::Copy,
+            vec![Param::name("R")],
+        );
+        assert_eq!(minus.output_names(), None);
     }
 }

@@ -6,33 +6,49 @@
 //! [`Table::from_grid`] (`_` for ⊥, `n:`/`v:` sort tags, positional
 //! defaults), so sorts round-trip exactly.
 
+use std::fmt;
+
 use crate::error::CoreError;
-use crate::symbol::{parse_cell, render_cell, Symbol};
+use crate::symbol::{cell_parts, parse_cell, Symbol};
 use crate::table::Table;
 
 /// Render a table as CSV (RFC-4180-style quoting; cells in the grid cell
 /// syntax).
 pub fn to_csv(t: &Table) -> String {
     let mut out = String::new();
-    for i in 0..=t.height() {
-        for j in 0..=t.width() {
-            if j > 0 {
-                out.push(',');
-            }
-            let cell = render_cell(t.get(i, j), i == 0 || j == 0);
-            out.push_str(&quote(&cell));
-        }
-        out.push('\n');
-    }
+    write_csv(t, &mut out).expect("writing to a String cannot fail");
     out
 }
 
-fn quote(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_owned()
+/// Write [`to_csv`]'s bytes straight into `out`, one cell at a time: no
+/// per-cell allocation, so a caller can stream a table into a buffer it
+/// already owns (or through an escaping adapter).
+pub fn write_csv<W: fmt::Write + ?Sized>(t: &Table, out: &mut W) -> fmt::Result {
+    for i in 0..=t.height() {
+        for (j, &sym) in t.storage_row(i).iter().enumerate() {
+            if j > 0 {
+                out.write_char(',')?;
+            }
+            let (tag, text) = cell_parts(sym, i == 0 || j == 0);
+            // Tags are `n:`/`v:`, so only the text can need quoting.
+            if text.contains([',', '"', '\n']) {
+                out.write_char('"')?;
+                out.write_str(tag)?;
+                for (k, piece) in text.split('"').enumerate() {
+                    if k > 0 {
+                        out.write_str("\"\"")?;
+                    }
+                    out.write_str(piece)?;
+                }
+                out.write_char('"')?;
+            } else {
+                out.write_str(tag)?;
+                out.write_str(text)?;
+            }
+        }
+        out.write_char('\n')?;
     }
+    Ok(())
 }
 
 /// Parse a table from CSV produced by [`to_csv`] (or hand-written in the
@@ -125,6 +141,75 @@ fn parse_records(src: &str) -> Result<Vec<Vec<String>>, CoreError> {
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::symbol::render_cell;
+    use proptest::prelude::*;
+
+    /// The two-allocations-per-cell encoder `write_csv` replaced, kept as
+    /// the byte-for-byte oracle for it.
+    fn to_csv_reference(t: &Table) -> String {
+        fn quote(cell: &str) -> String {
+            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.to_owned()
+            }
+        }
+        let mut out = String::new();
+        for i in 0..=t.height() {
+            for j in 0..=t.width() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let cell = render_cell(t.get(i, j), i == 0 || j == 0);
+                out.push_str(&quote(&cell));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// A symbol whose text is built to trip the encoder: sort-tag
+    /// look-alikes (`n:`, `v:`, `_`, `⊥`), quotes, commas, newlines and
+    /// carriage returns, as a name, a value or ⊥.
+    fn messy_symbol() -> impl Strategy<Value = Symbol> {
+        fn text() -> impl Strategy<Value = String> {
+            prop_oneof![
+                3 => "[a-c_:nv,\"\n\r ]{0,5}",
+                1 => "[nv]:[a-b,\"]{0,3}",
+                1 => "[_⊥京]{1,2}",
+            ]
+        }
+        prop_oneof![
+            3 => text().prop_map(|s| Symbol::name(&s)),
+            3 => text().prop_map(|s| Symbol::value(&s)),
+            1 => Just(Symbol::Null),
+        ]
+    }
+
+    fn messy_table() -> impl Strategy<Value = Table> {
+        (0usize..4, 0usize..4).prop_flat_map(|(h, w)| {
+            proptest::collection::vec(messy_symbol(), (h + 1) * (w + 1)).prop_map(move |cells| {
+                let mut t = Table::new(Symbol::Null, h, w);
+                for (k, sym) in cells.into_iter().enumerate() {
+                    t.set(k / (w + 1), k % (w + 1), sym);
+                }
+                t
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn write_csv_matches_the_reference_encoder(t in messy_table()) {
+            let mut streamed = String::new();
+            write_csv(&t, &mut streamed).unwrap();
+            let reference = to_csv_reference(&t);
+            prop_assert_eq!(&streamed, &reference);
+            prop_assert_eq!(to_csv(&t), reference);
+        }
+    }
 
     #[test]
     fn fixtures_round_trip() {

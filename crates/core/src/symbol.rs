@@ -177,22 +177,29 @@ pub fn parse_cell(cell: &str, default_sort: fn(&str) -> Symbol) -> Symbol {
 /// Render a symbol in the grid cell syntax, round-tripping through
 /// [`parse_cell`] with the given positional default.
 pub fn render_cell(sym: Symbol, default_is_name: bool) -> String {
+    let (tag, text) = cell_parts(sym, default_is_name);
+    format!("{tag}{text}")
+}
+
+/// [`render_cell`] without the allocation: the sort tag to write (`""`,
+/// `"n:"` or `"v:"`) followed by the symbol's text (`"_"` for ⊥).
+pub(crate) fn cell_parts(sym: Symbol, default_is_name: bool) -> (&'static str, &'static str) {
     match sym {
-        Symbol::Null => "_".to_owned(),
+        Symbol::Null => ("", "_"),
         Symbol::Name(i) => {
             let s = i.as_str();
             if default_is_name && !needs_tag(s) {
-                s.to_owned()
+                ("", s)
             } else {
-                format!("n:{s}")
+                ("n:", s)
             }
         }
         Symbol::Value(i) => {
             let s = i.as_str();
             if !default_is_name && !needs_tag(s) {
-                s.to_owned()
+                ("", s)
             } else {
-                format!("v:{s}")
+                ("v:", s)
             }
         }
     }

@@ -9,6 +9,7 @@
 //! pushing literals in `service.rs`; there is no generic serializer.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// Maximum bracket nesting accepted from the wire.
 const MAX_DEPTH: usize = 64;
@@ -283,23 +284,118 @@ impl Parser<'_> {
 /// added).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Append `s` to `out`, escaped as [`escape`] does: unescaped runs are
+/// copied whole, so the common case is one `push_str` per call.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Only ASCII bytes stop the scan, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// A [`fmt::Write`] adapter that JSON-escapes everything written through
+/// it into the wrapped buffer, so an encoder (e.g. `io::write_csv`) can
+/// stream straight into a JSON string literal without an intermediate
+/// copy.
+pub struct Escaped<'a>(pub &'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+
+    fn write_char(&mut self, c: char) -> fmt::Result {
+        if c >= ' ' && c != '"' && c != '\\' {
+            self.0.push(c);
+        } else {
+            escape_into(self.0, c.encode_utf8(&mut [0; 4]));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-at-a-time escaper `escape_into` replaced, kept as the
+    /// oracle for it and for [`Escaped`].
+    fn escape_reference(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Streaming a string through `Escaped` in arbitrary pieces
+        /// (and single chars) writes exactly `escape` of the whole.
+        #[test]
+        fn escaped_writer_matches_escape(
+            chars in proptest::collection::vec(
+                prop_oneof![
+                    3 => '\u{0}'..'\u{80}',
+                    1 => '\u{80}'..'\u{3000}',
+                    1 => Just('"'),
+                    1 => Just('\\'),
+                ],
+                0..48,
+            ),
+            cuts in proptest::collection::vec(0usize..48, 0..6),
+        ) {
+            let s: String = chars.iter().collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().filter(|&c| c <= chars.len()).collect();
+            cuts.sort_unstable();
+            let mut streamed = String::from("prefix:");
+            let mut w = Escaped(&mut streamed);
+            let mut at = 0;
+            for cut in cuts {
+                let piece: String = chars[at..cut].iter().collect();
+                if piece.chars().count() == 1 {
+                    w.write_char(piece.chars().next().unwrap()).unwrap();
+                } else {
+                    w.write_str(&piece).unwrap();
+                }
+                at = cut;
+            }
+            let rest: String = chars[at..].iter().collect();
+            write!(w, "{rest}").unwrap();
+            let expected = escape_reference(&s);
+            prop_assert_eq!(&escape(&s), &expected);
+            prop_assert_eq!(streamed, format!("prefix:{expected}"));
+        }
+    }
 
     #[test]
     fn parses_the_request_shapes() {

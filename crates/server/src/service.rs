@@ -22,6 +22,16 @@
 //! | `POST /sessions/{id}/query`    | run program(s); see below           |
 //!
 //! Query bodies are `{"program": "…"}` or `{"programs": ["…", …]}`.
+//! Each program gets one entry in `results`. A successful entry holds
+//! `tables`, `stats` and the optional attachments. `tables` lists the
+//! tables the program assigns ([`Program::output_names`]: the literal
+//! targets of its assignments, `while` bodies included), each as
+//! `{"name","height","width","csv"}` with the CSV in the `core::io`
+//! convention. It does not echo the rest of the session database: to
+//! read a stored table, assign it (`S <- COPY(Sales)`). A program with
+//! a wildcard or set-valued target names its outputs only at run time,
+//! so it gets every visible table. Reserved scratch and tag tables are
+//! never sent.
 //! Query params: `plan=1` attaches the cost-based planner's
 //! [`PlanReport`]; `trace=spans` attaches the span trace
 //! (`Trace::to_json`); `readonly=1` skips the commit; `deadline_ms=` /
@@ -322,109 +332,119 @@ impl Service {
             }
         }
 
-        self.render_outcomes(&outcomes, want_trace)
+        self.render_outcomes(&programs, &outcomes, want_trace)
     }
 
-    fn render_outcomes(&self, outcomes: &[RunOutcome], want_trace: bool) -> Response {
-        let mut any_trip = false;
-        let mut any_invalid = false;
-        let mut any_internal = false;
-        let mut results = String::new();
-        for (i, outcome) in outcomes.iter().enumerate() {
+    /// Render one result per program into the response body, written
+    /// front to back into one buffer. A successful result carries the
+    /// tables its program assigns ([`Program::output_names`]), or every
+    /// visible table when a wildcard or set-valued target leaves the
+    /// names to run time; reserved scratch and tag tables never leave
+    /// the server.
+    fn render_outcomes(
+        &self,
+        programs: &[Program],
+        outcomes: &[RunOutcome],
+        want_trace: bool,
+    ) -> Response {
+        let status = if outcomes
+            .iter()
+            .any(|o| matches!(o, Err(AlgebraError::Internal { .. })))
+        {
+            500
+        } else if outcomes
+            .iter()
+            .any(|o| matches!(o, Err(AlgebraError::BudgetExceeded { .. })))
+        {
+            408
+        } else if outcomes.iter().any(Result::is_err) {
+            422
+        } else {
+            200
+        };
+        let mut body = format!("{{\"ok\":{},\"results\":[", status == 200);
+        for (i, (program, outcome)) in programs.iter().zip(outcomes).enumerate() {
             if i > 0 {
-                results.push(',');
+                body.push(',');
             }
             match outcome {
                 Ok((db, stats, trace, plan)) => {
-                    results.push_str("{\"ok\":true,\"tables\":[");
+                    body.push_str("{\"ok\":true,\"tables\":[");
+                    let outputs = program.output_names();
                     let mut first = true;
                     for t in db.tables() {
                         let Some(name) = t.name().text().filter(|n| !interner::is_reserved(n))
                         else {
                             continue; // scratch and tag tables stay server-side
                         };
+                        if outputs.as_ref().is_some_and(|o| !o.contains(&t.name())) {
+                            continue;
+                        }
                         if !first {
-                            results.push(',');
+                            body.push(',');
                         }
                         first = false;
+                        body.push_str("{\"name\":\"");
+                        json::escape_into(&mut body, name);
                         write!(
-                            results,
-                            "{{\"name\":\"{}\",\"height\":{},\"width\":{},\"csv\":\"{}\"}}",
-                            json::escape(name),
+                            body,
+                            "\",\"height\":{},\"width\":{},\"csv\":\"",
                             t.height(),
-                            t.width(),
-                            json::escape(&io::to_csv(t)),
+                            t.width()
                         )
-                        .unwrap();
+                        .expect("writing to a String cannot fail");
+                        io::write_csv(t, &mut json::Escaped(&mut body))
+                            .expect("writing to a String cannot fail");
+                        body.push_str("\"}");
                     }
-                    results.push_str("],\"stats\":");
-                    results.push_str(&stats_json(stats));
+                    body.push_str("],\"stats\":");
+                    body.push_str(&stats_json(stats));
                     if let Some(report) = plan {
-                        results.push_str(",\"plan\":");
-                        results.push_str(&plan_json(report));
+                        body.push_str(",\"plan\":");
+                        body.push_str(&plan_json(report));
                     }
                     if want_trace {
-                        results.push_str(",\"trace\":");
-                        results.push_str(&trace.to_json());
+                        body.push_str(",\"trace\":");
+                        body.push_str(&trace.to_json());
                     }
-                    results.push('}');
+                    body.push('}');
                 }
-                Err(AlgebraError::BudgetExceeded {
-                    resource,
-                    spent,
-                    limit,
-                    partial,
-                }) => {
-                    any_trip = true;
+                Err(
+                    e @ AlgebraError::BudgetExceeded {
+                        resource,
+                        spent,
+                        limit,
+                        partial,
+                    },
+                ) => {
                     self.counters.budget_trips.fetch_add(1, Ordering::Relaxed);
                     write!(
-                        results,
+                        body,
                         "{{\"ok\":false,\"error\":\"{}\",\"resource\":\"{}\",\
                          \"spent\":{spent},\"limit\":{limit},\"stats\":{}",
-                        json::escape(&outcome.as_ref().unwrap_err().to_string()),
+                        json::escape(&e.to_string()),
                         json::escape(resource),
                         stats_json(&partial.stats),
                     )
-                    .unwrap();
+                    .expect("writing to a String cannot fail");
                     if want_trace {
-                        results.push_str(",\"trace\":");
-                        results.push_str(&partial.trace.to_json());
+                        body.push_str(",\"trace\":");
+                        body.push_str(&partial.trace.to_json());
                     }
-                    results.push('}');
-                }
-                Err(e @ AlgebraError::Internal { .. }) => {
-                    any_internal = true;
-                    write!(
-                        results,
-                        "{{\"ok\":false,\"error\":\"{}\"}}",
-                        json::escape(&e.to_string())
-                    )
-                    .unwrap();
+                    body.push('}');
                 }
                 Err(e) => {
-                    any_invalid = true;
                     write!(
-                        results,
+                        body,
                         "{{\"ok\":false,\"error\":\"{}\"}}",
                         json::escape(&e.to_string())
                     )
-                    .unwrap();
+                    .expect("writing to a String cannot fail");
                 }
             }
         }
-        let status = if any_internal {
-            500
-        } else if any_trip {
-            408
-        } else if any_invalid {
-            422
-        } else {
-            200
-        };
-        Response::json(
-            status,
-            format!("{{\"ok\":{},\"results\":[{results}]}}", status == 200),
-        )
+        body.push_str("]}");
+        Response::json(status, body)
     }
 }
 

@@ -1,7 +1,10 @@
 //! Integration tests for the query service, over real sockets and
 //! through the epoll reactor.
 //!
-//! The contracts under test: sessions are isolated; a client
+//! The contracts under test: a query answers with the tables its
+//! program assigns (every visible table when a wildcard target leaves
+//! the names to run time), never reserved scratch; sessions are
+//! isolated; a client
 //! disconnect cancels its in-flight run (reactor `EPOLLRDHUP`/EOF, no
 //! watcher thread); a deadline trip answers 408 with the partial
 //! stats the governor carries; malformed bodies are the client's
@@ -108,6 +111,30 @@ fn query_body(program: &str) -> String {
     format!("{{\"program\": \"{}\"}}", json::escape(program))
 }
 
+/// The `(name, height)` of every table in result `i` of a query
+/// response, in response order.
+fn result_tables(resp: &str, i: usize) -> Vec<(String, usize)> {
+    let parsed = json::parse(resp).unwrap_or_else(|e| panic!("{e}: {resp}"));
+    let result = &parsed.get("results").unwrap().as_arr().unwrap()[i];
+    result
+        .get("tables")
+        .and_then(json::Json::as_arr)
+        .unwrap_or_else(|| panic!("result {i} has no tables: {resp}"))
+        .iter()
+        .map(|t| {
+            (
+                t.get("name").unwrap().as_str().unwrap().to_string(),
+                t.get("height").unwrap().as_num().unwrap() as usize,
+            )
+        })
+        .collect()
+}
+
+/// The names in [`result_tables`].
+fn result_names(resp: &str, i: usize) -> Vec<String> {
+    result_tables(resp, i).into_iter().map(|(n, _)| n).collect()
+}
+
 #[test]
 fn sessions_are_isolated_and_commits_persist() {
     let (addr, _) = start(None, None);
@@ -128,6 +155,19 @@ fn sessions_are_isolated_and_commits_persist() {
     assert!(body.contains("only-in-a"), "{body}");
     assert!(
         !body.contains("only-in-b"),
+        "session A saw session B: {body}"
+    );
+    // Responses carry only assigned tables, so read B's table from A
+    // explicitly: it must not resolve there.
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{a}/query?readonly=1"),
+        &query_body("O <- COPY(Other)"),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        result_tables(&body, 0).iter().all(|(_, h)| *h == 0),
         "session A saw session B: {body}"
     );
 
@@ -165,8 +205,9 @@ fn sessions_are_isolated_and_commits_persist() {
         &format!("/sessions/{b}/query"),
         &query_body("W2 <- COPY(V)"),
     );
+    // Had V been committed, its one row would have been copied to W2.
     assert!(
-        !body.contains("\"name\":\"V\""),
+        result_tables(&body, 0).iter().all(|(_, h)| *h == 0),
         "readonly run leaked a commit: {body}"
     );
 
@@ -708,4 +749,115 @@ fn plan_and_trace_attachments_render() {
         .any(|s| { s.get("op").and_then(json::Json::as_str) == Some("TRANSPOSE") }));
     let stats = result.get("stats").unwrap();
     assert!(stats.get("op_counts").unwrap().get("TRANSPOSE").is_some());
+}
+
+#[test]
+fn point_query_returns_only_its_assigned_table() {
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    upload(
+        addr,
+        &session,
+        "Sales,Region,Part,Sold\nr0,east,nuts,50\nr1,west,bolts,70\n",
+    );
+    upload(addr, &session, "Seed,X\nr0,a\n");
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query?readonly=1"),
+        &query_body("P <- PROJECT[{Region}](Sales)"),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(result_tables(&body, 0), [("P".to_string(), 2)], "{body}");
+    assert!(!body.contains("nuts") && !body.contains("Seed"), "{body}");
+    // A stored table is read by assigning it.
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query?readonly=1"),
+        &query_body("S <- COPY(Sales)"),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(result_tables(&body, 0), [("S".to_string(), 2)], "{body}");
+}
+
+#[test]
+fn while_program_returns_its_loop_targets() {
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    upload(addr, &session, "A,X\nr,a\ns,b\n");
+    let program = "T <- COPY(A)
+                   while T do
+                     U <- COPY(T)
+                     T <- DIFFERENCE(T, T)
+                   end";
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query"),
+        &query_body(program),
+    );
+    assert_eq!(status, 200, "{body}");
+    let mut names = result_names(&body, 0);
+    names.sort();
+    assert_eq!(names, ["T", "U"], "{body}");
+    assert!(
+        result_tables(&body, 0).contains(&("U".to_string(), 2)),
+        "{body}"
+    );
+}
+
+#[test]
+fn wildcard_target_falls_back_to_every_visible_table() {
+    let (addr, service) = start(None, None);
+    let session = open_session(addr);
+    upload(addr, &session, "A,X\nr,a\n");
+    upload(addr, &session, "B,Y\nr,b\ns,c\n");
+    // Reserved scratch in the session database never leaves the server,
+    // whichever way the response is rendered.
+    let id = tabular_server::session::Sessions::parse_id(&session).unwrap();
+    let scratch = tabular_core::Symbol::Name(tabular_core::interner::fresh("scratch"));
+    service.sessions.get(id).unwrap().with_db(|db| {
+        db.insert(tabular_core::Table::relational_syms(
+            scratch,
+            &[tabular_core::Symbol::name("X")],
+            &[vec![tabular_core::Symbol::value("hidden")]],
+        ))
+    });
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query?readonly=1"),
+        &query_body("*1 <- COPY(*1)"),
+    );
+    assert_eq!(status, 200, "{body}");
+    let mut names = result_names(&body, 0);
+    names.sort();
+    assert_eq!(names, ["A", "B"], "{body}");
+    assert!(!body.contains("hidden"), "reserved scratch escaped: {body}");
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query?readonly=1"),
+        &query_body("T <- COPY(A)"),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(result_names(&body, 0), ["T"], "{body}");
+}
+
+#[test]
+fn multi_program_request_returns_each_programs_own_outputs() {
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    upload(addr, &session, "A,X\nr,a\ns,b\n");
+    let body = format!(
+        "{{\"programs\": [\"T <- COPY(A)\", \"{}\"]}}",
+        json::escape("U <- TRANSPOSE(A)\nV <- COPY(U)")
+    );
+    let (status, resp) = http(addr, "POST", &format!("/sessions/{session}/query"), &body);
+    assert_eq!(status, 200, "{resp}");
+    assert_eq!(result_names(&resp, 0), ["T"], "{resp}");
+    let mut second = result_names(&resp, 1);
+    second.sort();
+    assert_eq!(second, ["U", "V"], "{resp}");
 }

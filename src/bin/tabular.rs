@@ -220,8 +220,18 @@ mod tests {
     use super::*;
     use tables_paradigm::core::fixtures;
 
+    /// Write `contents` to `name` in the calling test's own directory,
+    /// `<tmp>/tabular-cli-tests/<pid>-<test name>`: libtest names each
+    /// test's thread after the test, so tests running in parallel (or
+    /// in concurrent test processes) never rewrite each other's files.
     fn write_temp(name: &str, contents: &str) -> String {
-        let dir = std::env::temp_dir().join("tabular-cli-tests");
+        let test = std::thread::current()
+            .name()
+            .unwrap_or("main")
+            .replace("::", "-");
+        let dir = std::env::temp_dir()
+            .join("tabular-cli-tests")
+            .join(format!("{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join(name);
         std::fs::write(&path, contents).expect("write temp file");

@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use tables_paradigm::core::stats;
+use tables_paradigm::core::{io, stats};
 use tables_paradigm::prelude::*;
 
 /// Counts allocator hits (and bytes requested) while armed; delegates to
@@ -414,5 +414,48 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         "partitioning must not raise peak allocation: the exact pre-sized \
          resize should undercut serial geometric growth (partitioned \
          {partitioned_bytes} vs serial {serial_bytes} bytes)"
+    );
+
+    // ------------------------------------------------------------------
+    // Guard 9: CSV encoding streams cells into the caller's buffer. The
+    // query service encodes every response table with `io::write_csv`;
+    // a 120×4 table with row attributes (the served `Sales` shape, with
+    // cells that need sort tags and quoting) written into a pre-sized
+    // `String` must hit the allocator zero times: no per-cell `String`s.
+    // ------------------------------------------------------------------
+    let mut sales = Table::new(Symbol::name("Sales"), 120, 4);
+    for (j, attr) in ["Region", "Part", "Sold", "Note"].iter().enumerate() {
+        sales.set(0, j + 1, Symbol::name(attr));
+    }
+    for i in 1..=120 {
+        sales.set(i, 0, Symbol::name(&format!("r{i}")));
+        sales.set(i, 1, Symbol::value(&format!("region{}", i % 7)));
+        sales.set(
+            i,
+            2,
+            Symbol::value(&format!("part {}, \"{}\"", i % 11, i % 3)),
+        );
+        sales.set(i, 3, Symbol::value(&format!("{}", i * 10)));
+        sales.set(
+            i,
+            4,
+            if i % 5 == 0 {
+                Symbol::Null
+            } else {
+                Symbol::name("n:x")
+            },
+        );
+    }
+    let expected = io::to_csv(&sales);
+    let mut encoded = String::with_capacity(expected.len());
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    io::write_csv(&sales, &mut encoded).unwrap();
+    ARMED.store(false, Ordering::SeqCst);
+    let encode_allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(encoded, expected, "streamed CSV must match to_csv");
+    assert_eq!(
+        encode_allocs, 0,
+        "encoding 121×5 cells into a pre-sized buffer allocated {encode_allocs} times"
     );
 }
