@@ -476,20 +476,6 @@ fn classify_change(old: &[&Table], new: &[Table]) -> Change {
     Change::Replaced
 }
 
-/// True when `t` is in the shape where classical union degenerates to
-/// exact row-set union: pairwise-distinct column attributes, ⊥ row
-/// attributes, and no ⊥ data entries. Under these conditions the join
-/// performed by purge/clean-up succeeds only between *identical* rows
-/// ([`Symbol::join`] is equality away from ⊥), so deduplicating storage
-/// rows reproduces the full union → purge → clean-up pipeline.
-fn plain_relational(t: &Table) -> bool {
-    t.scheme().len() == t.width()
-        && (1..=t.height()).all(|i| {
-            let row = t.storage_row(i);
-            row[0].is_null() && row[1..].iter().all(|c| !c.is_null())
-        })
-}
-
 /// How to extend the cached output (see [`plan_incremental`]). Operand
 /// handles held by a plan are O(1) clones sharing the store's buffers —
 /// and because they are taken *before* the commit mutates the database,
@@ -688,20 +674,17 @@ fn plan_incremental(
         OpKind::ClassicalUnion => {
             // The self-accumulation pattern `TC ← TC ∪ Δ`: the left
             // operand must be exactly this statement's previous output
-            // (by version), and both operands must be in the shape where
-            // classical union is exact row-set union. The right operand
-            // is absorbed in full — no lineage needed on it — so the step
-            // costs O(|TC| + |Δ|) hashing instead of the full
-            // union → purge → clean-up pipeline.
+            // (by version), and both operands must take the hash pass of
+            // `ops::classical_union` (one column-attribute sequence,
+            // distinct attributes; any row attributes and ⊥ cells), where
+            // the union is "concatenate, drop repeated storage rows". The
+            // right operand is absorbed in full — no lineage needed on
+            // it — so the step hashes O(|TC| + |Δ|) rows and appends.
             if read_versions[0] != memo.target_version {
                 return None;
             }
             let s = single(reads[1])?;
-            if out_width != s.width()
-                || out_old.col_attrs() != s.col_attrs()
-                || !plain_relational(out_old)
-                || !plain_relational(s)
-            {
+            if out_width != s.width() || !ops::aligned_distinct_schemes(out_old, s) {
                 return None;
             }
             let mut seen: std::collections::HashSet<&[Symbol]> =

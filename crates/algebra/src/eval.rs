@@ -186,6 +186,10 @@ pub struct EvalStats {
     /// program ([`crate::plan::PlanReport::rules_applied`]; 0 on
     /// unplanned runs). Deterministic like [`EvalStats::plans_rewritten`].
     pub plan_rules_applied: usize,
+    /// Wall time of planning the submitted program, in microseconds
+    /// (`run_planned*` entry points only; 0 on unplanned runs). Not part
+    /// of [`EvalStats::total_micros`], which times evaluation.
+    pub plan_micros: u128,
 }
 
 impl EvalStats {
@@ -326,17 +330,20 @@ pub fn run_planned_governed_traced(
     db: &Database,
     budget: &Budget,
 ) -> Result<(Database, EvalStats, Trace, crate::plan::PlanReport)> {
+    let start = Instant::now();
     let (planned, report) = crate::plan::plan(program, db);
+    let plan_micros = start.elapsed().as_micros();
     let stamp = |stats: &mut EvalStats| {
         stats.plans_rewritten = report.statements_rewritten;
         stats.plan_rules_applied = report.rules_applied();
+        stats.plan_micros = plan_micros;
     };
     let spans = budget.limits.trace == crate::obs::TraceLevel::Spans;
     match run_governed_traced(&planned, db, budget) {
         Ok((state, mut stats, mut trace)) => {
             stamp(&mut stats);
             if spans {
-                prepend_plan_spans(&mut trace, &report);
+                prepend_plan_spans(&mut trace, &report, plan_micros);
             }
             Ok((state, stats, trace, report))
         }
@@ -348,7 +355,7 @@ pub fn run_planned_governed_traced(
         }) => {
             stamp(&mut partial.stats);
             if spans {
-                prepend_plan_spans(&mut partial.trace, &report);
+                prepend_plan_spans(&mut partial.trace, &report, plan_micros);
             }
             Err(AlgebraError::BudgetExceeded {
                 resource,
@@ -364,8 +371,10 @@ pub fn run_planned_governed_traced(
 /// Place one [`crate::obs::SpanKind::Plan`] span per planner decision at
 /// the front of the trace, so EXPLAIN trees lead with what the planner
 /// rewrote. Ids continue past the evaluation spans' (uniqueness is what
-/// the tree builder needs, not ordering).
-fn prepend_plan_spans(trace: &mut Trace, report: &crate::plan::PlanReport) {
+/// the tree builder needs, not ordering). The planner runs as one pass,
+/// so the leading span carries its whole time, `plan_micros`, and the
+/// others 0: the plan spans sum to the planning time.
+fn prepend_plan_spans(trace: &mut Trace, report: &crate::plan::PlanReport, plan_micros: u128) {
     use crate::obs::trace::{DeltaDecision, Span, SpanKind};
     let base = trace.spans().map(|s| s.id).max().unwrap_or(0);
     let est = |v: Option<u128>| v.map_or(0, |c| usize::try_from(c).unwrap_or(usize::MAX));
@@ -378,7 +387,7 @@ fn prepend_plan_spans(trace: &mut Trace, report: &crate::plan::PlanReport) {
             matched: 0,
             input_cells: est(d.before_cells),
             output_cells: est(d.after_cells),
-            micros: 0,
+            micros: if k == 0 { plan_micros } else { 0 },
             cow_copies: 0,
             decision: DeltaDecision::Executed,
             fusion: None,

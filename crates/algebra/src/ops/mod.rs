@@ -41,3 +41,5 @@ pub use traditional::{
     union,
 };
 pub use transpose::{switch, transpose};
+
+pub(crate) use traditional::aligned_distinct_schemes;

@@ -118,7 +118,45 @@ pub fn purge(r: &Table, on: &SymbolSet, by: &SymbolSet, name: Symbol) -> Table {
 /// representing union-compatible relations: tabular union, then purge to
 /// eliminate the redundant column block, then clean-up to eliminate
 /// duplicate rows (paper §3.4, last paragraph).
+///
+/// When both operands carry the same column-attribute sequence with
+/// pairwise-distinct attributes, the pipeline collapses to a hash pass.
+/// Purge then pairs each `A` column of `ρ` with the one `A` column of
+/// `σ`; one side of every pair is ⊥ in every row, so each pair merges
+/// without conflict and the purged table is `ρ`'s rows followed by
+/// `σ`'s, row attributes included. Clean-up keyed by the whole scheme on
+/// the full row scheme then keys each row by its whole storage row, and
+/// a group of identical rows joins to that row at its first member's
+/// slot. So the result is "concatenate, then drop repeated storage rows,
+/// keeping the first" — for any row attributes and any ⊥ data cells —
+/// computed in `O(|ρ| + |σ|)` without the width-doubled union or its
+/// two transposes. Other operands take the staged pipeline.
 pub fn classical_union(r: &Table, s: &Table, name: Symbol) -> Table {
+    if !super::traditional::aligned_distinct_schemes(r, s) {
+        return staged_classical_union(r, s, name);
+    }
+    let mut t = Table::new(name, 0, r.width());
+    for j in 1..=r.width() {
+        t.set(0, j, r.col_attr(j));
+    }
+    let rows = (1..=r.height())
+        .map(|i| r.storage_row(i))
+        .chain((1..=s.height()).map(|k| s.storage_row(k)));
+    let mut seen: std::collections::HashSet<&[Symbol]> =
+        std::collections::HashSet::with_capacity(r.height() + s.height());
+    t.append_rows(|out| {
+        for row in rows {
+            if seen.insert(row) {
+                out.push_row(row);
+            }
+        }
+    });
+    t
+}
+
+/// The §3.4 definition of classical union, stage by stage: the fallback
+/// of [`classical_union`] and the oracle its hash pass is tested against.
+fn staged_classical_union(r: &Table, s: &Table, name: Symbol) -> Table {
     let u = super::traditional::union(r, s, name);
     let purged = purge(&u, &u.scheme(), &SymbolSet::new(), name);
     cleanup(&purged, &purged.scheme(), &purged.row_scheme(), name)
@@ -128,6 +166,7 @@ pub fn classical_union(r: &Table, s: &Table, name: Symbol) -> Table {
 mod tests {
     use super::*;
     use crate::ops::restructure::group;
+    use proptest::prelude::Strategy;
     use tabular_core::fixtures;
 
     fn nm(x: &str) -> Symbol {
@@ -264,11 +303,102 @@ mod tests {
     }
 
     #[test]
+    fn classical_union_keeps_row_attributes_and_first_occurrences() {
+        let r =
+            Table::from_grid(&[&["R", "A", "B"], &["r1", "1", "_"], &["r2", "3", "4"]]).unwrap();
+        let s =
+            Table::from_grid(&[&["S", "A", "B"], &["r2", "3", "4"], &["r1", "3", "4"]]).unwrap();
+        let u = classical_union(&r, &s, nm("T"));
+        let expected = Table::from_grid(&[
+            &["T", "A", "B"],
+            &["r1", "1", "_"],
+            &["r2", "3", "4"],
+            &["r1", "3", "4"],
+        ])
+        .unwrap();
+        assert_eq!(u, expected);
+        assert_eq!(u, staged_classical_union(&r, &s, nm("T")));
+    }
+
+    #[test]
     fn classical_union_is_commutative_up_to_permutation() {
         let a = Table::relational("R", &["A"], &[&["1"]]);
         let b = Table::relational("S", &["A"], &[&["2"]]);
         let u1 = classical_union(&a, &b, nm("T"));
         let u2 = classical_union(&b, &a, nm("T"));
         assert!(u1.equiv(&u2));
+    }
+
+    /// Operands for the classical-union oracle, as `(shape, ρ, σ)`.
+    /// Shape 0 gives both operands one column-attribute sequence with
+    /// distinct attributes (the hash pass); shape 1 permutes `σ`'s
+    /// columns and shape 2 repeats an attribute in both (the staged
+    /// fallback). Row attributes come from `{⊥, r1, r2, r3}` and cells
+    /// from `{⊥, v1, v2, v3}`, so rows repeat within and across operands.
+    fn arb_operands() -> impl Strategy<Value = (usize, Table, Table)> {
+        use proptest::collection::vec;
+        let row = || (0usize..4, vec(0usize..4, 4));
+        (0usize..3, 0usize..5, vec(row(), 0..7), vec(row(), 0..7)).prop_map(
+            |(shape, width, r_rows, s_rows)| {
+                let width = if shape == 0 { width } else { width.max(2) };
+                let mut attrs: Vec<Symbol> = (0..width).map(|j| nm(&format!("A{j}"))).collect();
+                if shape == 2 {
+                    attrs[1] = attrs[0];
+                }
+                let s_attrs = if shape == 1 {
+                    let mut p = attrs.clone();
+                    p.swap(0, 1);
+                    p
+                } else {
+                    attrs.clone()
+                };
+                let sym = |k: usize, mk: fn(&str) -> Symbol, prefix: &str| {
+                    if k == 0 {
+                        Symbol::Null
+                    } else {
+                        mk(&format!("{prefix}{k}"))
+                    }
+                };
+                let table = |name: &str, attrs: &[Symbol], rows: &[(usize, Vec<usize>)]| {
+                    let mut t = Table::new(nm(name), rows.len(), attrs.len());
+                    for (j, &a) in attrs.iter().enumerate() {
+                        t.set(0, j + 1, a);
+                    }
+                    for (i, (attr, cells)) in rows.iter().enumerate() {
+                        t.set(i + 1, 0, sym(*attr, Symbol::name, "r"));
+                        for (j, &cell) in cells.iter().take(attrs.len()).enumerate() {
+                            t.set(i + 1, j + 1, sym(cell, Symbol::value, "v"));
+                        }
+                    }
+                    t
+                };
+                (
+                    shape,
+                    table("R", &attrs, &r_rows),
+                    table("S", &s_attrs, &s_rows),
+                )
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The hash pass is the §3.4 pipeline, cell for cell: exact
+        /// equality with union → purge → clean-up, not equivalence.
+        #[test]
+        fn classical_union_matches_the_staged_definition((shape, r, s) in arb_operands()) {
+            proptest::prop_assert_eq!(
+                crate::ops::traditional::aligned_distinct_schemes(&r, &s),
+                shape == 0,
+                "shape {} must {} the hash pass",
+                shape,
+                if shape == 0 { "take" } else { "skip" }
+            );
+            proptest::prop_assert_eq!(
+                classical_union(&r, &s, nm("T")),
+                staged_classical_union(&r, &s, nm("T"))
+            );
+        }
     }
 }

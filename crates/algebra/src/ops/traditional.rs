@@ -79,8 +79,8 @@ pub fn difference(r: &Table, s: &Table, name: Symbol) -> Table {
 /// True when both tables carry the same column-attribute sequence and the
 /// attributes are pairwise distinct — the precondition for reducing row
 /// matching (mutual subsumption + row-attribute equality) to storage-row
-/// equality.
-fn aligned_distinct_schemes(r: &Table, s: &Table) -> bool {
+/// equality, here and in [`classical_union`](crate::ops::classical_union).
+pub(crate) fn aligned_distinct_schemes(r: &Table, s: &Table) -> bool {
     r.width() == s.width() && r.col_attrs() == s.col_attrs() && r.scheme().len() == r.width()
 }
 

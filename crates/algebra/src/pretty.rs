@@ -367,16 +367,15 @@ fn render_trace_line(s: &Span, depth: usize, out: &mut String) {
             .unwrap();
         }
         SpanKind::Plan => {
-            if s.input_cells == 0 && s.output_cells == 0 {
-                writeln!(out, "plan [{}]", s.op).unwrap();
-            } else {
-                writeln!(
-                    out,
-                    "plan [{}] est {} → {} cells",
-                    s.op, s.input_cells, s.output_cells
-                )
-                .unwrap();
+            // The leading plan span carries the planning time.
+            write!(out, "plan [{}]", s.op).unwrap();
+            if s.input_cells != 0 || s.output_cells != 0 {
+                write!(out, " est {} → {} cells", s.input_cells, s.output_cells).unwrap();
             }
+            if s.micros != 0 {
+                write!(out, " [{} µs]", s.micros).unwrap();
+            }
+            writeln!(out).unwrap();
         }
         SpanKind::Assign => {
             // Join-fusion decision, e.g. `FUSEDJOIN (fused-join)` — shows

@@ -32,8 +32,12 @@
 //! a wildcard or set-valued target names its outputs only at run time,
 //! so it gets every visible table. Reserved scratch and tag tables are
 //! never sent.
-//! Query params: `plan=1` attaches the cost-based planner's
-//! [`PlanReport`]; `trace=spans` attaches the span trace
+//! Every program is planned against the snapshot by the cost-based
+//! planner (`algebra::plan`) before it runs, so its fused kernels apply
+//! to what clients write, such as a pivot that reassigns one name
+//! (`Cross <- GROUP…; Cross <- CLEANUP…(Cross); Cross <- PURGE…(Cross)`).
+//! Query params: `plan=1` attaches the planner's [`PlanReport`];
+//! `trace=spans` attaches the span trace
 //! (`Trace::to_json`); `readonly=1` skips the commit; `deadline_ms=` /
 //! `cell_budget=` override the admission defaults. Status mapping:
 //! parse errors and malformed bodies are 400, budget trips are 408
@@ -46,8 +50,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tabular_algebra::{
-    parser, pretty, run_governed_traced, run_planned_governed_traced, AlgebraError, Budget,
-    CancelToken, EvalLimits, EvalStats, PlanReport, Program, Trace, TraceLevel,
+    parser, pretty, run_planned_governed_traced, AlgebraError, Budget, CancelToken, EvalLimits,
+    EvalStats, PlanReport, Program, Trace, TraceLevel,
 };
 use tabular_core::{interner, io, Database};
 
@@ -448,15 +452,11 @@ impl Service {
     }
 }
 
-/// Run one program against the snapshot under its budget share.
+/// Plan one program against the snapshot and run it under its budget
+/// share; the planner's report is kept only when the client asked for it.
 fn run_one(program: &Program, db: &Database, budget: &Budget, want_plan: bool) -> RunOutcome {
-    if want_plan {
-        run_planned_governed_traced(program, db, budget)
-            .map(|(out, stats, trace, report)| (out, stats, trace, Some(report)))
-    } else {
-        run_governed_traced(program, db, budget)
-            .map(|(out, stats, trace)| (out, stats, trace, None))
-    }
+    run_planned_governed_traced(program, db, budget)
+        .map(|(out, stats, trace, report)| (out, stats, trace, want_plan.then_some(report)))
 }
 
 /// `POST /sessions/{id}/tables`: the body is one CSV table in the
@@ -509,7 +509,7 @@ pub fn stats_json(s: &EvalStats) -> String {
          \"partition_shards\":{},\"while_delta_skipped\":{},\"while_fallback_naive\":{},\
          \"join_fused\":{},\"join_unfused\":{},\"restructure_fused\":{},\
          \"restructure_unfused\":{},\"snapshots\":{},\"cow_copies\":{},\
-         \"plans_rewritten\":{},\"plan_rules_applied\":{}}}",
+         \"plans_rewritten\":{},\"plan_rules_applied\":{},\"plan_micros\":{}}}",
         s.total_micros,
         s.while_iterations,
         s.tables_produced,
@@ -527,6 +527,7 @@ pub fn stats_json(s: &EvalStats) -> String {
         s.cow_copies,
         s.plans_rewritten,
         s.plan_rules_applied,
+        s.plan_micros,
     )
     .unwrap();
     out

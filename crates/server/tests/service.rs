@@ -10,7 +10,10 @@
 //! stats the governor carries; malformed bodies are the client's
 //! error (400), never the server's (500); chunked transfer encoding
 //! is refused with 501; pipelined requests are answered in order even
-//! past the pipeline and byte backpressure caps; a client that
+//! past the pipeline and byte backpressure caps; every query is
+//! planned, so a user-written pivot runs the fused kernel and a
+//! row-attributed transitive closure stays on the delta engine, while
+//! `plan=1` only attaches the report; a client that
 //! half-closes after a burst still gets its queued responses; and one
 //! slow-loris connection cannot stall other clients.
 
@@ -860,4 +863,161 @@ fn multi_program_request_returns_each_programs_own_outputs() {
     let mut second = result_names(&resp, 1);
     second.sort();
     assert_eq!(second, ["U", "V"], "{resp}");
+}
+
+/// `Sales` as a client uploads it: CSV rows carrying row attributes
+/// `r0…`, the shape the fused pivot kernel must accept.
+fn row_attributed_sales_csv() -> String {
+    let mut csv = String::from("Sales,Region,Part,Sold\n");
+    for i in 0..36 {
+        csv.push_str(&format!("r{i},g{},p{},{}\n", i % 4, i % 6, 100 + i % 7));
+    }
+    csv
+}
+
+const PIVOT: &str = "Cross <- GROUP[by {Region} on {Sold}](Sales)
+Cross <- CLEANUP[by {Part} on {_}](Cross)
+Cross <- PURGE[on {Sold} by {Region}](Cross)";
+
+/// The single result of a query response, parsed.
+fn first_result(body: &str) -> json::Json {
+    let parsed = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    parsed.get("results").unwrap().as_arr().unwrap()[0].clone()
+}
+
+fn stat(result: &json::Json, key: &str) -> f64 {
+    result
+        .get("stats")
+        .and_then(|s| s.get(key))
+        .and_then(json::Json::as_num)
+        .unwrap_or_else(|| panic!("no stats.{key}"))
+}
+
+#[test]
+fn every_query_is_planned_and_plan_1_only_attaches_the_report() {
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    upload(addr, &session, &row_attributed_sales_csv());
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query?readonly=1"),
+        &query_body(PIVOT),
+    );
+    assert_eq!(status, 200, "{body}");
+    let result = first_result(&body);
+    assert!(
+        stat(&result, "restructure_fused") >= 1.0,
+        "a user-written pivot runs the fused kernel unasked: {body}"
+    );
+    assert_eq!(stat(&result, "restructure_unfused"), 0.0, "{body}");
+    assert!(stat(&result, "plan_rules_applied") >= 1.0, "{body}");
+    assert!(
+        result.get("plan").is_none(),
+        "no report unless asked: {body}"
+    );
+    assert_eq!(result_names(&body, 0), ["Cross"], "{body}");
+
+    let (status, planned_body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query?readonly=1&plan=1"),
+        &query_body(PIVOT),
+    );
+    assert_eq!(status, 200, "{planned_body}");
+    let result = first_result(&planned_body);
+    let plan = result.get("plan").expect("plan=1 attaches the report");
+    assert!(plan
+        .get("decisions")
+        .and_then(json::Json::as_arr)
+        .unwrap()
+        .iter()
+        .any(|d| d.get("rule").and_then(json::Json::as_str) == Some("fuse-restructure")));
+    // The report is the only difference: the same tables come back.
+    let tables = |b: &str| first_result(b).get("tables").cloned();
+    assert_eq!(tables(&body), tables(&planned_body));
+}
+
+#[test]
+fn committed_pivot_matches_the_unplanned_run() {
+    let (addr, service) = start(None, None);
+    let session = open_session(addr);
+    let csv = row_attributed_sales_csv();
+    upload(addr, &session, &csv);
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query"),
+        &query_body(PIVOT),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        stat(&first_result(&body), "restructure_fused") >= 1.0,
+        "{body}"
+    );
+
+    let id = tabular_server::session::Sessions::parse_id(&session).unwrap();
+    let committed = service.sessions.get(id).unwrap().snapshot();
+    let input = tabular_core::Database::from_tables([tabular_core::io::from_csv(&csv).unwrap()]);
+    let program = tabular_algebra::parser::parse(PIVOT).unwrap();
+    let unplanned = tabular_algebra::run(&program, &input, &Default::default()).unwrap();
+    assert_eq!(committed.names(), unplanned.names());
+    assert_eq!(committed.table_str("Cross"), unplanned.table_str("Cross"));
+    assert_eq!(committed, unplanned, "the planned commit adds no table");
+}
+
+#[test]
+fn row_attributed_tc_returns_the_closure_on_the_delta_engine() {
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    let mut csv = String::from("E,A,B\n");
+    for i in 0..24 {
+        csv.push_str(&format!("r{i},n{i},n{}\n", i + 1));
+    }
+    upload(addr, &session, &csv);
+    let tc = "TC <- COPY(E)
+Frontier <- COPY(E)
+while Frontier do
+  EStep <- COPY(E)
+  RTC <- RENAME[A -> A0](TC)
+  RTC <- RENAME[B -> B0](RTC)
+  Matched <- FUSEDJOIN[B0 = A](RTC, EStep)
+  Step <- PROJECT[{A0, B}](Matched)
+  Step <- RENAME[A0 -> A](Step)
+  Frontier <- DIFFERENCE(Step, TC)
+  TC <- CLASSICALUNION(TC, Frontier)
+end";
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query?readonly=1"),
+        &query_body(tc),
+    );
+    assert_eq!(status, 200, "{body}");
+    let result = first_result(&body);
+    assert_eq!(stat(&result, "while_fallback_naive"), 0.0, "{body}");
+    let served = result
+        .get("tables")
+        .and_then(json::Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|t| t.get("name").and_then(json::Json::as_str) == Some("TC"))
+        .and_then(|t| t.get("csv").and_then(json::Json::as_str).map(String::from))
+        .expect("TC is returned");
+    let served = tabular_core::io::from_csv(&served).unwrap();
+    // The reference closure of the 25-node chain: every pair i < j.
+    assert_eq!(served.height(), 300);
+    let mut pairs: Vec<(String, String)> = (1..=served.height())
+        .map(|i| (served.get(i, 1).to_string(), served.get(i, 2).to_string()))
+        .collect();
+    pairs.sort();
+    let mut expected: Vec<(String, String)> = (0..25)
+        .flat_map(|i| (i + 1..25).map(move |j| (format!("n{i}"), format!("n{j}"))))
+        .collect();
+    expected.sort();
+    assert_eq!(pairs, expected);
+    let input = tabular_core::Database::from_tables([tabular_core::io::from_csv(&csv).unwrap()]);
+    let program = tabular_algebra::parser::parse(tc).unwrap();
+    let reference = tabular_algebra::run(&program, &input, &Default::default()).unwrap();
+    assert_eq!(Some(&served), reference.table_str("TC"), "cell for cell");
 }

@@ -458,4 +458,110 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         encode_allocs, 0,
         "encoding 121×5 cells into a pre-sized buffer allocated {encode_allocs} times"
     );
+
+    // ------------------------------------------------------------------
+    // Guard 10: classical union of two union-compatible tables whose
+    // rows carry row attributes runs the hash pass. Two 300×2 tables
+    // over `r0…` overlapping in 150 rows union to 450 rows. The staged
+    // §3.4 pipeline would allocate the 600×4 tabular union, its
+    // transpose, and the purged transpose back; the hash pass allocates
+    // the output and one hash set over the input rows, so its armed
+    // bytes stay a small multiple of the output buffer and below the
+    // union buffer plus its transposes.
+    // ------------------------------------------------------------------
+    let attributed = |name: &str, from: usize| {
+        let mut t = Table::new(Symbol::name(name), 300, 2);
+        t.set(0, 1, Symbol::name("A"));
+        t.set(0, 2, Symbol::name("B"));
+        for (i, k) in (from..from + 300).enumerate() {
+            t.set(i + 1, 0, Symbol::name(&format!("r{k}")));
+            t.set(i + 1, 1, Symbol::value(&format!("a{k}")));
+            t.set(i + 1, 2, Symbol::value(&format!("b{k}")));
+        }
+        t
+    };
+    let (left, right) = (attributed("L", 0), attributed("R", 150));
+    let sym = std::mem::size_of::<Symbol>();
+    ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let union = ops::classical_union(&left, &right, Symbol::name("U"));
+    ARMED.store(false, Ordering::SeqCst);
+    let union_bytes = BYTES.load(Ordering::SeqCst);
+    assert_eq!((union.height(), union.width()), (450, 2));
+    let output_bytes = 451 * 3 * sym;
+    let staged_buffers = 3 * 601 * 5 * sym; // union, transpose, transpose back
+    assert!(
+        union_bytes < staged_buffers && union_bytes < 4 * output_bytes,
+        "classical union allocated {union_bytes} bytes for a {output_bytes}-byte \
+         output; the staged union and transposes take {staged_buffers}"
+    );
+
+    // ------------------------------------------------------------------
+    // Guard 11: transitive closure over a chain whose edges carry row
+    // attributes (`r0…`, as a CSV upload arrives) runs on the same
+    // kernels as the ⊥-row-attributed chain. The delta strategy keeps
+    // the body (no naive fallback), the accumulating classical union
+    // appends instead of rebuilding, and the whole run allocates no
+    // more than the plain chain's run does, within a quarter, with the
+    // same number of copy-on-write materializations.
+    // ------------------------------------------------------------------
+    let tc = parse(
+        "TC <- COPY(E)
+         Frontier <- COPY(E)
+         while Frontier do
+           EStep <- COPY(E)
+           RTC <- RENAME[A -> A0](TC)
+           RTC <- RENAME[B -> B0](RTC)
+           Matched <- FUSEDJOIN[B0 = A](RTC, EStep)
+           Step <- PROJECT[{A0, B}](Matched)
+           Step <- RENAME[A0 -> A](Step)
+           Frontier <- DIFFERENCE(Step, TC)
+           TC <- CLASSICALUNION(TC, Frontier)
+         end",
+    )
+    .unwrap();
+    let chain = |row_attrs: bool| {
+        let mut csv = String::from("E,A,B\n");
+        for i in 0..24 {
+            let attr = if row_attrs {
+                format!("r{i}")
+            } else {
+                "_".into()
+            };
+            csv.push_str(&format!("{attr},n{i},n{}\n", i + 1));
+        }
+        Database::from_tables([io::from_csv(&csv).unwrap()])
+    };
+    let limits = EvalLimits {
+        while_strategy: WhileStrategy::Delta,
+        ..EvalLimits::default()
+    };
+    let (mut closure_bytes, mut cow, mut closures) = (Vec::new(), Vec::new(), Vec::new());
+    for row_attrs in [false, true] {
+        let input = chain(row_attrs);
+        BYTES.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        let (out, run_stats) = run_with_stats(&tc, &input, &limits).unwrap();
+        ARMED.store(false, Ordering::SeqCst);
+        closure_bytes.push(BYTES.load(Ordering::SeqCst));
+        assert_eq!(
+            run_stats.while_fallback_naive, 0,
+            "row attributes {row_attrs}"
+        );
+        cow.push(run_stats.cow_copies);
+        closures.push(out.table_str("TC").unwrap().clone());
+    }
+    assert_eq!(cow[0], cow[1], "row attributes add no copy-on-write");
+    assert_eq!(
+        closures[1].height(),
+        300,
+        "the 25-node chain closes to 300 pairs"
+    );
+    let (plain_bytes, attributed_bytes) = (closure_bytes[0], closure_bytes[1]);
+    assert!(
+        attributed_bytes <= plain_bytes + plain_bytes / 4,
+        "the row-attributed closure allocated {attributed_bytes} bytes against \
+         {plain_bytes} for the plain chain"
+    );
 }
