@@ -38,9 +38,10 @@ pub enum WhileStrategy {
     /// statements whose inputs (and own output) are untouched since their
     /// last execution; recompute append-grown products, selections, and
     /// projections incrementally. Falls back to [`WhileStrategy::Naive`]
-    /// per loop when the body is not provably delta-safe (see
-    /// `optimize::body_is_delta_safe`). Results are identical to naive
-    /// evaluation: skipping is exact, not merely fixpoint-safe.
+    /// per loop when the body is not provably delta-safe (ground
+    /// parameters, no fresh tagging, no nested loops). Results are
+    /// identical to naive evaluation: skipping is exact, not merely
+    /// fixpoint-safe.
     #[default]
     Delta,
 }
@@ -83,7 +84,7 @@ pub struct EvalLimits {
     pub while_strategy: WhileStrategy,
     /// Observability level: `Off` (no timing), `Counters` (per-op stats,
     /// the default), or `Spans` (stats plus the structured trace
-    /// returned by [`run_traced`]).
+    /// returned by [`run_governed_traced`] and [`run_planned`]).
     pub trace: TraceLevel,
 }
 
@@ -103,7 +104,7 @@ impl Default for EvalLimits {
     }
 }
 
-/// Execution statistics collected by [`run_with_stats`]: how often each
+/// Execution statistics collected by [`run_governed_traced`]: how often each
 /// operation ran, the wall time it took, and the shape of what it
 /// produced — the observability hook behind the benchmark analyses in
 /// EXPERIMENTS.md.
@@ -178,17 +179,17 @@ pub struct EvalStats {
     /// Same measurement caveat as [`EvalStats::snapshots`].
     pub cow_copies: u64,
     /// Statements of the submitted program removed, replaced, or moved by
-    /// the cost-based planner before execution (`run_planned*` entry
-    /// points only; 0 on unplanned runs). Deterministic in the program
-    /// and catalog, so Naive and Delta agree.
+    /// the cost-based planner before execution ([`run_planned`] only; 0
+    /// on unplanned runs). Deterministic in the program and catalog, so
+    /// Naive and Delta agree.
     pub plans_rewritten: usize,
     /// Planner rule applications recorded while planning the submitted
     /// program ([`crate::plan::PlanReport::rules_applied`]; 0 on
     /// unplanned runs). Deterministic like [`EvalStats::plans_rewritten`].
     pub plan_rules_applied: usize,
     /// Wall time of planning the submitted program, in microseconds
-    /// (`run_planned*` entry points only; 0 on unplanned runs). Not part
-    /// of [`EvalStats::total_micros`], which times evaluation.
+    /// ([`run_planned`] only; 0 on unplanned runs). Not part of
+    /// [`EvalStats::total_micros`], which times evaluation.
     pub plan_micros: u128,
 }
 
@@ -207,48 +208,22 @@ impl EvalStats {
 
 /// Evaluate a program against a database, returning the final database
 /// (input tables plus every table produced, with overwritten names
-/// replaced).
+/// replaced). This is the reference semantics: no planning, no deadline
+/// or cell budget beyond the static limits.
 pub fn run(program: &Program, db: &Database, limits: &EvalLimits) -> Result<Database> {
-    Ok(run_with_stats(program, db, limits)?.0)
+    Ok(run_governed_traced(program, db, &Budget::from_limits(limits))?.0)
 }
 
-/// Like [`run`], additionally returning per-operation execution
-/// statistics.
-pub fn run_with_stats(
-    program: &Program,
-    db: &Database,
-    limits: &EvalLimits,
-) -> Result<(Database, EvalStats)> {
-    let (state, stats, _) = run_traced(program, db, limits)?;
-    Ok((state, stats))
-}
-
-/// Like [`run_with_stats`], additionally returning the structured
-/// evaluation trace. The trace is empty unless `limits.trace` is
-/// [`TraceLevel::Spans`]; see [`crate::obs`] for the span schema and
-/// [`crate::pretty::render_trace`] for the `EXPLAIN ANALYZE`-style view.
-pub fn run_traced(
-    program: &Program,
-    db: &Database,
-    limits: &EvalLimits,
-) -> Result<(Database, EvalStats, Trace)> {
-    run_governed_traced(program, db, &Budget::from_limits(limits))
-}
-
-/// Evaluate a program under a [`Budget`]: the static limits plus a
+/// Evaluate a program under a [`Budget`] — the static limits plus a
 /// wall-clock deadline, a cumulative cell budget, and cooperative
-/// cancellation. On a budget trip the returned
+/// cancellation — returning the final database with the run's
+/// statistics and structured trace. The trace is empty unless
+/// `budget.limits.trace` is [`TraceLevel::Spans`]; see [`crate::obs`]
+/// for the span schema and [`crate::pretty::render_trace`] for the
+/// `EXPLAIN ANALYZE`-style view. On a budget trip the returned
 /// [`AlgebraError::BudgetExceeded`] carries the partial stats and trace
-/// (see [`crate::governor`]).
-pub fn run_governed(program: &Program, db: &Database, budget: &Budget) -> Result<Database> {
-    Ok(run_governed_traced(program, db, budget)?.0)
-}
-
-/// Like [`run_governed`], additionally returning the statistics and the
-/// structured trace of the successful run. This is the single underlying
-/// entry point: the plain `run*` functions delegate here with
-/// [`Budget::from_limits`], so governed and ungoverned evaluation share
-/// one code path.
+/// (see [`crate::governor`]). This is the unplanned core every other
+/// entry point delegates to.
 pub fn run_governed_traced(
     program: &Program,
     db: &Database,
@@ -295,37 +270,16 @@ pub fn run_governed_traced(
 }
 
 /// Plan a program against the database with the cost-based planner
-/// ([`crate::plan::plan`]) and evaluate the planned form. Semantically
-/// identical to [`run`] up to fresh-tag renumbering (oracle-checked by
-/// `planner_on_and_off_agree`).
-pub fn run_planned(program: &Program, db: &Database, limits: &EvalLimits) -> Result<Database> {
-    Ok(run_planned_traced(program, db, limits)?.0)
-}
-
-/// Like [`run_planned`], additionally returning statistics (with the
-/// `plans_rewritten` / `plan_rules_applied` counters filled in) and the
-/// structured trace.
-pub fn run_planned_traced(
-    program: &Program,
-    db: &Database,
-    limits: &EvalLimits,
-) -> Result<(Database, EvalStats, Trace)> {
-    let (state, stats, trace, _) =
-        run_planned_governed_traced(program, db, &Budget::from_limits(limits))?;
-    Ok((state, stats, trace))
-}
-
-/// Like [`run_governed`], but planning first.
-pub fn run_planned_governed(program: &Program, db: &Database, budget: &Budget) -> Result<Database> {
-    Ok(run_planned_governed_traced(program, db, budget)?.0)
-}
-
-/// The full planned entry point: plan, evaluate under the budget, and
-/// return the result with statistics, trace, and the planner's decision
-/// report (for EXPLAIN rendering — see `crate::pretty::render_plan`).
-/// The planner counters are stamped into the statistics on success *and*
-/// into the partial statistics carried by a budget trip.
-pub fn run_planned_governed_traced(
+/// ([`crate::plan::plan`]), evaluate the planned form under the budget,
+/// and return the result with statistics, trace, and the planner's
+/// decision report (for EXPLAIN rendering — see
+/// [`crate::pretty::render_plan`]). Semantically identical to [`run`] up
+/// to fresh-tag renumbering (oracle-checked by
+/// `planner_on_and_off_agree`). The planner counters are stamped into
+/// the statistics on success *and* into the partial statistics carried
+/// by a budget trip; at [`TraceLevel::Spans`] the trace leads with one
+/// plan span per decision.
+pub fn run_planned(
     program: &Program,
     db: &Database,
     budget: &Budget,
@@ -440,7 +394,7 @@ pub(crate) fn run_statements(
                 let name = denote_target(cond, &Bindings::new())
                     .map_err(|_| AlgebraError::BadWhileCondition)?;
                 let delta = cx.limits.while_strategy == WhileStrategy::Delta;
-                if delta && crate::optimize::body_is_delta_safe(body) {
+                if delta && crate::delta::body_is_delta_safe(body) {
                     crate::delta::run_delta_while(name, body, db, cx, metrics, pool)?;
                     continue;
                 }
@@ -1102,7 +1056,7 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out, stats, trace) = run_planned_traced(&p, &db, &limits).unwrap();
+        let (out, stats, trace, _) = run_planned(&p, &db, &Budget::from_limits(&limits)).unwrap();
         assert!(out.table_str("Out").is_some());
         assert_eq!(stats.plan_rules_applied, 1);
         assert_eq!(stats.plans_rewritten, 2);
@@ -1339,7 +1293,7 @@ mod tests {
         .unwrap();
         let mut db = fixtures::sales_info1();
         db.insert(Table::relational("Work", &["A"], &[&["1"]]));
-        let (_, stats) = run_with_stats(&p, &db, &limits()).unwrap();
+        let (_, stats, _) = run_governed_traced(&p, &db, &Budget::from_limits(&limits())).unwrap();
         assert_eq!(stats.op_counts.get("GROUP"), Some(&1));
         assert_eq!(stats.op_counts.get("CLEANUP"), Some(&1));
         assert_eq!(stats.op_counts.get("DIFFERENCE"), Some(&1));
@@ -1387,7 +1341,7 @@ mod tests {
                 while_strategy: strategy,
                 ..EvalLimits::default()
             };
-            let (_, stats) = run_with_stats(&p, &db, &l).unwrap();
+            let (_, stats, _) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
             let op_sum: u128 = stats.op_micros.values().sum();
             assert!(
                 op_sum <= stats.total_micros,
@@ -1411,7 +1365,7 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (_, stats, trace) = run_traced(&p, &db, &l).unwrap();
+        let (_, stats, trace) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
         assert_eq!(trace.dropped(), 0);
         assert_eq!(
             trace.per_op_micros(),
@@ -1429,7 +1383,8 @@ mod tests {
             trace: TraceLevel::Off,
             ..EvalLimits::default()
         };
-        let (_, stats, trace) = run_traced(&p, &fixtures::sales_info1(), &l).unwrap();
+        let (_, stats, trace) =
+            run_governed_traced(&p, &fixtures::sales_info1(), &Budget::from_limits(&l)).unwrap();
         assert!(trace.is_empty());
         assert!(stats.op_micros.is_empty());
         assert_eq!(stats.op_counts.get("COPY"), Some(&1));
@@ -1450,12 +1405,13 @@ mod tests {
             parallel_threshold: threshold,
             ..EvalLimits::default()
         };
-        let (_, at) = run_with_stats(&p, &mk(threshold), &l).unwrap();
+        let (_, at, _) = run_governed_traced(&p, &mk(threshold), &Budget::from_limits(&l)).unwrap();
         assert!(
             at.shard_jobs > 0,
             "exactly threshold matches dispatch to the pool"
         );
-        let (_, below) = run_with_stats(&p, &mk(threshold - 1), &l).unwrap();
+        let (_, below, _) =
+            run_governed_traced(&p, &mk(threshold - 1), &Budget::from_limits(&l)).unwrap();
         assert_eq!(below.shard_jobs, 0, "threshold - 1 matches stay serial");
     }
 
@@ -1476,12 +1432,12 @@ mod tests {
                 parallel_threshold: threshold,
                 ..EvalLimits::default()
             };
-            let (_, one) = run_with_stats(&p, &mk(1), &l).unwrap();
+            let (_, one, _) = run_governed_traced(&p, &mk(1), &Budget::from_limits(&l)).unwrap();
             assert_eq!(
                 one.shard_jobs, 0,
                 "threshold {threshold}: a single match stays serial"
             );
-            let (_, two) = run_with_stats(&p, &mk(2), &l).unwrap();
+            let (_, two, _) = run_governed_traced(&p, &mk(2), &Budget::from_limits(&l)).unwrap();
             assert!(
                 two.shard_jobs > 0,
                 "threshold {threshold}: two matches fan out"
@@ -1498,14 +1454,14 @@ mod tests {
             (0..6).map(|i| Table::relational(&format!("T{i}"), &["A"], &[&["v"]])),
         );
         let p = crate::parser::parse("*1 <- TRANSPOSE(*1)").unwrap();
-        let (reference, base) = run_with_stats(&p, &db, &EvalLimits::default()).unwrap();
+        let (reference, base, _) = run_governed_traced(&p, &db, &Budget::default()).unwrap();
         assert_eq!(base.shard_jobs, 0, "6 < default threshold stays serial");
         let l = EvalLimits {
             parallel_threshold: 2,
             threads: 1,
             ..EvalLimits::default()
         };
-        let (out, stats) = run_with_stats(&p, &db, &l).unwrap();
+        let (out, stats, _) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
         assert!(stats.shard_jobs > 0, "sharded path taken: {stats:?}");
         assert!(out.equiv(&reference));
     }
@@ -1549,8 +1505,10 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (reference, ref_stats, _) = run_traced(&p, &db, &serial_limits).unwrap();
-        let (out, stats, trace) = run_traced(&p, &db, &part_limits).unwrap();
+        let (reference, ref_stats, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&serial_limits)).unwrap();
+        let (out, stats, trace) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&part_limits)).unwrap();
         let t = reference.table_str("T").unwrap();
         assert_eq!(t, out.table_str("T").unwrap(), "byte-identical output");
         assert_eq!(ref_stats.partitioned_joins, 0);
@@ -1575,9 +1533,9 @@ mod tests {
         let t_cells = (t.height() + 1) * (t.width() + 1);
         for l in [&serial_limits, &part_limits] {
             let ok = Budget::from_limits(l).with_cell_budget(t_cells);
-            run_governed(&p, &db, &ok).unwrap();
+            run_governed_traced(&p, &db, &ok).unwrap();
             let trip = Budget::from_limits(l).with_cell_budget(t_cells - 1);
-            let err = run_governed(&p, &db, &trip).unwrap_err();
+            let err = run_governed_traced(&p, &db, &trip).unwrap_err();
             assert!(matches!(err, AlgebraError::BudgetExceeded { .. }), "{err}");
         }
     }

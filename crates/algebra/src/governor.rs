@@ -74,8 +74,8 @@ impl CancelToken {
 }
 
 /// A resource budget for one evaluation: [`EvalLimits`] plus a deadline,
-/// a cumulative cell budget, and a cancellation token. The plain `run*`
-/// entry points are equivalent to a budget with no deadline, an
+/// a cumulative cell budget, and a cancellation token. The plain
+/// [`crate::eval::run`] is equivalent to a budget with no deadline, an
 /// unlimited cell budget, and a token nobody cancels — governed and
 /// ungoverned evaluation are the same code path.
 #[derive(Clone, Debug)]

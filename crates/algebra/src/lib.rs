@@ -45,7 +45,6 @@ pub mod federation;
 pub mod governor;
 pub mod obs;
 pub mod ops;
-pub mod optimize;
 pub mod param;
 pub mod parser;
 pub mod plan;
@@ -55,14 +54,11 @@ pub mod program;
 
 pub use error::AlgebraError;
 pub use eval::{
-    run, run_governed, run_governed_traced, run_outputs, run_planned, run_planned_governed,
-    run_planned_governed_traced, run_planned_traced, run_traced, run_with_stats, EvalLimits,
-    EvalStats, WhileStrategy,
+    run, run_governed_traced, run_outputs, run_planned, EvalLimits, EvalStats, WhileStrategy,
 };
 pub use federation::Federation;
 pub use governor::{Budget, CancelToken, PartialRun};
 pub use obs::{DeltaDecision, Span, SpanKind, Trace, TraceLevel};
-pub use optimize::optimize;
 pub use param::Param;
 pub use plan::{plan, plan_with_rules, Catalog, PlanReport, Rule, ALL_RULES};
 pub use program::{Assignment, OpKind, Program, RestructureChain, Statement};

@@ -42,7 +42,7 @@ struct Pending {
 
 /// Single sink for interpreter statistics and spans (see module docs).
 pub(crate) struct Metrics {
-    /// The public counters, exactly as `run_with_stats` returns them.
+    /// The public counters, exactly as `run_governed_traced` returns them.
     pub(crate) stats: EvalStats,
     level: TraceLevel,
     trace: Trace,

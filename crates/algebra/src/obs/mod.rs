@@ -14,8 +14,9 @@
 //!   evaluator, replacing the ad-hoc counter updates previously
 //!   scattered across `eval.rs` and `delta.rs`.
 //!
-//! Entry point: `EvalLimits { trace: TraceLevel::Spans, .. }` with
-//! [`crate::eval::run_traced`].
+//! Entry point: `EvalLimits { trace: TraceLevel::Spans, .. }` in the
+//! [`crate::Budget`] passed to [`crate::eval::run_governed_traced`] or
+//! [`crate::eval::run_planned`].
 
 pub mod metrics;
 pub mod trace;

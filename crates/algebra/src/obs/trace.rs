@@ -57,8 +57,8 @@ pub enum SpanKind {
     /// and `shard` its partition index, recording the fan-out of a
     /// single large join across the pool.
     Partition,
-    /// One planner rewrite decision, prepended to the trace by the
-    /// `run_planned*` entry points so EXPLAIN output shows what the
+    /// One planner rewrite decision, prepended to the trace by
+    /// [`crate::eval::run_planned`] so EXPLAIN output shows what the
     /// cost-based planner did before evaluation began. `op` carries the
     /// rule name; `input_cells`/`output_cells` carry the cost model's
     /// before/after cell estimates (0 when the rule had no statistics);

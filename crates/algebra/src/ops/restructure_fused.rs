@@ -32,8 +32,8 @@ use std::collections::HashMap;
 use tabular_core::{Symbol, SymbolSet, Table};
 
 /// The denoted parameter sets of a `GROUP → CLEAN-UP (→ PURGE)` chain, as
-/// recognized by `optimize::fuse_restructure` and evaluated by the fused
-/// kernel.
+/// recognized by the planner's `fuse-restructure` rule and evaluated by
+/// the fused kernel.
 #[derive(Clone, Debug)]
 pub struct RestructureSpec {
     /// `GROUP by` — the grouping attributes (header rows of the grouped

@@ -1,6 +1,5 @@
 //! A cost-based planner for tabular algebra programs — the "query (and
-//! program) optimization" future work the paper names in §5, generalizing
-//! the ad-hoc passes that used to live in [`crate::optimize`].
+//! program) optimization" future work the paper names in §5.
 //!
 //! [`plan`] lowers a [`Program`] into an IR of per-statement op nodes
 //! annotated with table statistics — row/column counts read from the
@@ -10,7 +9,7 @@
 //! segments back to a `Program`:
 //!
 //! * **copy forwarding** — `s ← op(..); T ← COPY(s)` retargets the
-//!   producer (the legacy `forward_copies` pass);
+//!   producer;
 //! * **selection pushdown** — `s ← PRODUCT(x, y); t ← SELECT[A=B](s)`
 //!   filters one operand *before* the product when the catalog proves
 //!   both `A`- and `B`-named columns lie entirely on that operand, and
@@ -23,7 +22,7 @@
 //!   site (fused only when the hash-join kernel's single-occurrence
 //!   column condition provably holds — otherwise the kernel would fall
 //!   back to the staged pipeline anyway), and without statistics it
-//!   fuses optimistically like the legacy pass;
+//!   fuses optimistically;
 //! * **CLEANUP/PURGE sinking** — a redundancy-removal consumer
 //!   separated from its single-use producer by independent rigid
 //!   assignments sinks next to it, making the chain contiguous;
@@ -69,12 +68,11 @@
 //!   oracle grants, since rewrites change intermediate sizes in both
 //!   directions anyway).
 //!
-//! Rules only ever fire on fully ground programs (like the legacy
-//! passes, [`plan_with_rules`] bails out otherwise), emit ground
-//! statements, and never introduce `TUPLENEW`/`SETNEW` or nested loops —
-//! so a delta-safe `while` body stays delta-safe
-//! ([`crate::optimize::body_is_delta_safe`]) and the delta engine's
-//! per-statement memos key the *planned* body consistently.
+//! Rules only ever fire on fully ground programs ([`plan_with_rules`]
+//! bails out otherwise), emit ground statements, and never introduce
+//! `TUPLENEW`/`SETNEW` or nested loops — so a delta-safe `while` body
+//! stays delta-safe (`delta::body_is_delta_safe`) and the delta
+//! engine's per-statement memos key the *planned* body consistently.
 
 use crate::param::Param;
 use crate::program::{Assignment, OpKind, Program, RestructureChain, Statement};
@@ -599,8 +597,8 @@ pub fn plan(program: &Program, db: &Database) -> (Program, PlanReport) {
 }
 
 /// Plan with an explicit rule subset and optional database (without one,
-/// stats-gated rules stay off and the rest behave like the legacy
-/// passes).
+/// stats-gated rules stay off and the rest fire on pattern alone,
+/// unconditionally).
 pub fn plan_with_rules(
     program: &Program,
     db: Option<&Database>,
@@ -1078,6 +1076,17 @@ fn detect_chain(stmts: &[Statement], i: usize, env: &Env<'_>) -> Option<Chain> {
         });
     }
     if named > 1 {
+        return None;
+    }
+    // Reordering permutes the product's columns. With a column attribute
+    // repeated across leaves, a later GROUP or CLASSICALUNION could see
+    // the repeats in another order, so only reorder distinct attributes.
+    let attrs = leaves.iter().map(|l| l.attrs.len()).sum::<usize>();
+    let distinct: SymbolSet = leaves
+        .iter()
+        .flat_map(|l| l.attrs.iter().copied())
+        .collect();
+    if distinct.len() != attrs {
         return None;
     }
     Some(Chain {
@@ -1637,9 +1646,10 @@ fn lower_stmts(stmts: &[Statement], env: &mut Env<'_>) -> Vec<IrNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{run, EvalLimits};
-    use crate::optimize::{body_is_delta_safe, optimize};
-    use tabular_core::{Database, Table};
+    use crate::delta::body_is_delta_safe;
+    use crate::eval::{run, run_governed_traced, EvalLimits};
+    use crate::governor::Budget;
+    use tabular_core::{fixtures, Database, Table};
 
     fn scratch(n: u32) -> Symbol {
         Symbol::name(&format!("\u{1F}pl{n}"))
@@ -1823,6 +1833,38 @@ mod tests {
         assert!(compare_visible(&a, &b));
     }
 
+    /// Reordering permutes the product's columns, so a chain whose leaves
+    /// share a column attribute (`A` on both `L` and `N`) is left as
+    /// written, even though joining the 1-row `N` first is cheaper.
+    #[test]
+    fn reorder_refuses_leaves_sharing_an_attribute() {
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Product,
+                vec![Param::name("L"), Param::name("M")],
+            )
+            .assign(
+                Param::sym(scratch(2)),
+                OpKind::Product,
+                vec![Param::sym(scratch(1)), Param::name("N")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Select {
+                    a: Param::name("A"),
+                    b: Param::name("B"),
+                },
+                vec![Param::sym(scratch(2))],
+            );
+        let mut db = three_way_db();
+        db.retain(|t| t.name() != Symbol::name("N"));
+        db.insert(rel("N", &["A"], &[&["k"]]));
+        let (planned, report) = plan_with_rules(&p, Some(&db), &[Rule::ReorderJoins]);
+        assert_eq!(planned, p);
+        assert_eq!(report.rules_applied(), 0);
+    }
+
     /// With a leaf name shadowed (two store tables bear it), per-name
     /// statistics are meaningless and the chain is left as written.
     #[test]
@@ -1999,8 +2041,7 @@ mod tests {
         };
         assert!(chain.purge.is_some(), "the PURGE link fuses too");
         let staged = run(&p, &db, &EvalLimits::default()).unwrap();
-        let (fused, stats) =
-            crate::eval::run_with_stats(&planned, &db, &EvalLimits::default()).unwrap();
+        let (fused, stats, _) = run_governed_traced(&planned, &db, &Budget::default()).unwrap();
         assert_eq!(stats.restructure_fused, 1, "the kernel applies");
         assert_eq!(staged.names(), fused.names());
         assert_eq!(staged.table_str("Cross"), fused.table_str("Cross"));
@@ -2111,7 +2152,7 @@ mod tests {
                 },
                 vec![Param::sym(scratch(1))],
             );
-        let opt = optimize(&p);
+        let opt = plan_with_rules(&p, None, &ALL_RULES).0;
         assert_eq!(opt.len(), 1, "{opt:?}");
         let Statement::Assign(a) = &opt.statements[0] else {
             panic!("assignment expected");
@@ -2228,5 +2269,354 @@ mod tests {
         assert!(est.exact);
         assert_eq!(seg[1].defs, vec![Some(0)]);
         assert!(matches!(ir[1], IrNode::Loop { .. }));
+    }
+
+    #[test]
+    fn dead_scratch_assignments_are_removed() {
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Copy,
+                vec![Param::name("Sales")],
+            )
+            .assign(Param::name("Out"), OpKind::Copy, vec![Param::name("Sales")]);
+        let opt = plan_with_rules(&p, None, &[Rule::EliminateDead]).0;
+        assert_eq!(opt.len(), 1);
+    }
+
+    #[test]
+    fn dead_chains_are_removed_to_a_fixpoint() {
+        // s1 feeds s2 feeds nothing: both must go.
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Copy,
+                vec![Param::name("Sales")],
+            )
+            .assign(
+                Param::sym(scratch(2)),
+                OpKind::Copy,
+                vec![Param::sym(scratch(1))],
+            )
+            .assign(Param::name("Out"), OpKind::Copy, vec![Param::name("Sales")]);
+        assert_eq!(plan_with_rules(&p, None, &[Rule::EliminateDead]).0.len(), 1);
+    }
+
+    #[test]
+    fn user_visible_targets_are_never_removed() {
+        let p = Program::new().assign(
+            Param::name("Unused"),
+            OpKind::Copy,
+            vec![Param::name("Sales")],
+        );
+        assert_eq!(plan_with_rules(&p, None, &[Rule::EliminateDead]).0.len(), 1);
+    }
+
+    #[test]
+    fn copy_forwarding_fuses_producer_and_copy() {
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Transpose,
+                vec![Param::name("Sales")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Copy,
+                vec![Param::sym(scratch(1))],
+            );
+        let opt = plan_with_rules(&p, None, &ALL_RULES).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert_eq!(a.target, Param::name("Out"));
+        assert!(matches!(a.op, OpKind::Transpose));
+    }
+
+    #[test]
+    fn copy_forwarding_respects_multiple_readers() {
+        // The scratch result is read twice: the copy cannot be fused away.
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Transpose,
+                vec![Param::name("Sales")],
+            )
+            .assign(Param::name("A"), OpKind::Copy, vec![Param::sym(scratch(1))])
+            .assign(Param::name("B"), OpKind::Copy, vec![Param::sym(scratch(1))]);
+        assert_eq!(plan_with_rules(&p, None, &ALL_RULES).0.len(), 3);
+    }
+
+    #[test]
+    fn wildcard_programs_are_left_untouched() {
+        let p = Program::new()
+            .assign(Param::sym(scratch(1)), OpKind::Copy, vec![Param::name("X")])
+            .assign(Param::star_k(1), OpKind::Transpose, vec![Param::star_k(1)]);
+        // The wildcard could read the scratch table: no elimination.
+        assert_eq!(plan_with_rules(&p, None, &ALL_RULES).0.len(), 2);
+    }
+
+    #[test]
+    fn optimizing_a_compiled_program_preserves_results() {
+        // A small pipeline with real scratch traffic.
+        let p = crate::parser::parse(
+            "Sales <- GROUP[by {Region} on {Sold}](Sales)
+             Sales <- CLEANUP[by {Part} on {_}](Sales)
+             Sales <- PURGE[on {Sold} by {Region}](Sales)",
+        )
+        .unwrap();
+        let db = fixtures::sales_info1();
+        let opt = plan_with_rules(&p, None, &ALL_RULES).0;
+        let a = run(&p, &db, &EvalLimits::default()).unwrap();
+        let b = run(&opt, &db, &EvalLimits::default()).unwrap();
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn while_bodies_are_preserved_correctly() {
+        let p = Program::new()
+            .assign(Param::name("T"), OpKind::Copy, vec![Param::name("Sales")])
+            .while_nonempty(
+                Param::name("T"),
+                Program::new().assign(
+                    Param::name("T"),
+                    OpKind::Difference,
+                    vec![Param::name("T"), Param::name("T")],
+                ),
+            );
+        let opt = plan_with_rules(&p, None, &ALL_RULES).0;
+        assert_eq!(opt.len(), p.len());
+        let db = fixtures::sales_info1();
+        let a = run(&p, &db, &EvalLimits::default()).unwrap();
+        let b = run(&opt, &db, &EvalLimits::default()).unwrap();
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn select_over_scratch_product_fuses_into_a_join() {
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Select {
+                    a: Param::name("B"),
+                    b: Param::name("C"),
+                },
+                vec![Param::sym(scratch(1))],
+            );
+        let opt = plan_with_rules(&p, None, &ALL_RULES).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert_eq!(a.target, Param::name("Out"));
+        assert!(matches!(a.op, OpKind::FusedJoin { .. }));
+        assert_eq!(a.args, vec![Param::name("R"), Param::name("S")]);
+
+        let db = Database::from_tables([
+            tabular_core::Table::relational("R", &["A", "B"], &[&["1", "2"], &["3", "4"]]),
+            tabular_core::Table::relational("S", &["C", "D"], &[&["2", "x"], &["9", "y"]]),
+        ]);
+        let a = run(&p, &db, &EvalLimits::default()).unwrap();
+        let b = run(&opt, &db, &EvalLimits::default()).unwrap();
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn fusion_respects_multiple_readers_and_visible_targets() {
+        // The product result is read twice: fusing would lose it.
+        let multi = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("A"),
+                OpKind::Select {
+                    a: Param::name("B"),
+                    b: Param::name("C"),
+                },
+                vec![Param::sym(scratch(1))],
+            )
+            .assign(Param::name("B"), OpKind::Copy, vec![Param::sym(scratch(1))]);
+        assert_eq!(plan_with_rules(&multi, None, &ALL_RULES).0.len(), 3);
+
+        // A user-visible product is observable output: never fused away.
+        let visible = Program::new()
+            .assign(
+                Param::name("P"),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Select {
+                    a: Param::name("B"),
+                    b: Param::name("C"),
+                },
+                vec![Param::name("P")],
+            );
+        assert_eq!(plan_with_rules(&visible, None, &ALL_RULES).0.len(), 2);
+    }
+
+    #[test]
+    fn fusion_requires_ground_selection_attributes() {
+        // A pair parameter denotes a position *in the product table*; the
+        // rewrite would change what it points at.
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Select {
+                    a: Param::pair(Param::name("r"), Param::name("c")),
+                    b: Param::name("C"),
+                },
+                vec![Param::sym(scratch(1))],
+            );
+        assert_eq!(plan_with_rules(&p, None, &[Rule::FuseJoin]).0.len(), 2);
+    }
+
+    /// The paper's pivot chain over single-read scratches, builder-style.
+    fn pivot_chain() -> Program {
+        Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Group {
+                    by: Param::name("Region"),
+                    on: Param::name("Sold"),
+                },
+                vec![Param::name("R")],
+            )
+            .assign(
+                Param::sym(scratch(2)),
+                OpKind::CleanUp {
+                    by: Param::name("Part"),
+                    on: Param::null(),
+                },
+                vec![Param::sym(scratch(1))],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Purge {
+                    on: Param::name("Sold"),
+                    by: Param::name("Region"),
+                },
+                vec![Param::sym(scratch(2))],
+            )
+    }
+
+    #[test]
+    fn pivot_chain_fuses_into_a_restructure() {
+        let p = pivot_chain();
+        let opt = plan_with_rules(&p, None, &ALL_RULES).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert_eq!(a.target, Param::name("Out"));
+        assert!(
+            matches!(&a.op, OpKind::FusedRestructure(chain) if chain.purge.is_some()),
+            "{:?}",
+            a.op
+        );
+        assert_eq!(a.args, vec![Param::name("R")]);
+
+        let db = Database::from_tables([fixtures::sales_relation()]);
+        let a = run(&p, &db, &EvalLimits::default()).unwrap();
+        let b = run(&opt, &db, &EvalLimits::default()).unwrap();
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn group_cleanup_prefix_fuses_without_a_purge() {
+        let mut p = pivot_chain();
+        p.statements.truncate(2);
+        // Retarget the clean-up to a visible name so the chain ends there.
+        let Statement::Assign(c) = &mut p.statements[1] else {
+            panic!("assignment expected");
+        };
+        c.target = Param::name("Out");
+        let opt = plan_with_rules(&p, None, &ALL_RULES).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert!(matches!(
+            &a.op,
+            OpKind::FusedRestructure(chain) if chain.purge.is_none()
+        ));
+
+        let db = Database::from_tables([fixtures::sales_relation()]);
+        let a = run(&p, &db, &EvalLimits::default()).unwrap();
+        let b = run(&opt, &db, &EvalLimits::default()).unwrap();
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn restructure_fusion_respects_multiple_readers_and_visible_targets() {
+        // The grouped scratch is read twice: fusing would lose it.
+        let mut multi = pivot_chain();
+        multi = multi.assign(
+            Param::name("Again"),
+            OpKind::Copy,
+            vec![Param::sym(scratch(1))],
+        );
+        assert_eq!(
+            plan_with_rules(&multi, None, &[Rule::FuseRestructure])
+                .0
+                .len(),
+            4
+        );
+
+        // A visible intermediate is observable output: never fused away.
+        let visible = crate::parser::parse(
+            "G <- GROUP[by {Region} on {Sold}](R)
+             C <- CLEANUP[by {Part} on {_}](G)
+             Out <- PURGE[on {Sold} by {Region}](C)",
+        )
+        .unwrap();
+        assert_eq!(
+            plan_with_rules(&visible, None, &[Rule::FuseRestructure])
+                .0
+                .len(),
+            3
+        );
+    }
+
+    #[test]
+    fn restructure_fusion_requires_rigid_merge_parameters() {
+        // `CLEANUP by *` denotes "all column attributes *of the grouped
+        // intermediate*" — the rewrite would change what it expands to.
+        let mut p = pivot_chain();
+        let Statement::Assign(c) = &mut p.statements[1] else {
+            panic!("assignment expected");
+        };
+        c.op = OpKind::CleanUp {
+            by: Param::star(),
+            on: Param::null(),
+        };
+        assert_eq!(
+            plan_with_rules(&p, None, &[Rule::FuseRestructure]).0.len(),
+            3
+        );
+    }
+
+    #[test]
+    fn restructure_fusion_reaches_into_while_bodies() {
+        let p = Program::new()
+            .assign(Param::name("W"), OpKind::Copy, vec![Param::name("R")])
+            .while_nonempty(Param::name("W"), pivot_chain());
+        let opt = plan_with_rules(&p, None, &[Rule::FuseRestructure]).0;
+        assert_eq!(opt.len(), 3, "{opt:?}");
     }
 }

@@ -519,7 +519,8 @@ mod tests {
 
     #[test]
     fn render_trace_nests_statements_under_iterations() {
-        use crate::eval::{run_traced, EvalLimits};
+        use crate::eval::{run_governed_traced, EvalLimits};
+        use crate::governor::Budget;
         use crate::obs::trace::TraceLevel;
         use tabular_core::{Database, Table};
 
@@ -538,7 +539,7 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (_, _, trace) = run_traced(&p, &db, &limits).unwrap();
+        let (_, _, trace) = run_governed_traced(&p, &db, &Budget::from_limits(&limits)).unwrap();
         let text = render_trace(&trace);
         assert!(text.contains("while #1"), "iteration line:\n{text}");
         // Body statements are indented one level under their iteration.

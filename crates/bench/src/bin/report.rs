@@ -8,8 +8,8 @@
 
 use std::time::Instant;
 use tabular_algebra::{
-    parser::parse, run, run_governed, run_outputs, run_traced, run_with_stats, Budget, EvalLimits,
-    TraceLevel, WhileStrategy,
+    parser::parse, plan_with_rules, run, run_governed_traced, run_outputs, Budget, EvalLimits,
+    Rule, TraceLevel, WhileStrategy,
 };
 use tabular_canonical::{check_fds, decode, encode, encode_program, EncodeScheme};
 use tabular_core::{fixtures, Symbol, SymbolSet};
@@ -220,7 +220,8 @@ fn main() {
         let program = transitive_closure_program();
         let direct = program.run(&db, 100_000).unwrap();
         let ((), us) = timed(|| {
-            let via_ta = run_compiled(&program, &db, &["TC"], &limits).unwrap();
+            let budget = Budget::from_limits(&limits);
+            let (via_ta, _, _) = run_compiled(&program, &db, &["TC"], &budget).unwrap();
             assert!(direct
                 .get_str("TC")
                 .unwrap()
@@ -248,7 +249,8 @@ fn main() {
             ..EvalLimits::default()
         };
         let (out_naive, us_naive) = timed(|| run(&p, &db, &naive_limits).unwrap());
-        let ((out_delta, stats), us_delta) = timed(|| run_with_stats(&p, &db, &limits).unwrap());
+        let ((out_delta, stats, _), us_delta) =
+            timed(|| run_governed_traced(&p, &db, &Budget::from_limits(&limits)).unwrap());
         let ok = out_naive.table_str("TC").unwrap() == out_delta.table_str("TC").unwrap()
             && stats.while_fallback_naive == 0
             && stats.while_delta_skipped > 0;
@@ -283,8 +285,10 @@ fn main() {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out_u, _, trace_u) = run_traced(&unfused, &db, &spans_limits).unwrap();
-        let (out_f, stats_f, trace_f) = run_traced(&fused, &db, &spans_limits).unwrap();
+        let (out_u, _, trace_u) =
+            run_governed_traced(&unfused, &db, &Budget::from_limits(&spans_limits)).unwrap();
+        let (out_f, stats_f, trace_f) =
+            run_governed_traced(&fused, &db, &Budget::from_limits(&spans_limits)).unwrap();
         let product_cells: usize = trace_u
             .spans()
             .filter(|s| s.op == "PRODUCT")
@@ -334,7 +338,8 @@ fn main() {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let ((_, stats, trace), us_spans) = timed(|| run_traced(&p, &db, &spans_limits).unwrap());
+        let ((_, stats, trace), us_spans) =
+            timed(|| run_governed_traced(&p, &db, &Budget::from_limits(&spans_limits)).unwrap());
         let reconciled = trace.dropped() == 0 && trace.per_op_micros() == stats.op_micros;
         let op_sum: u128 = stats.op_micros.values().sum();
         let decisions = trace.decision_counts();
@@ -395,10 +400,12 @@ fn main() {
         let armed = Budget::from_limits(&base)
             .with_deadline(std::time::Duration::from_secs(3600))
             .with_cell_budget(usize::MAX);
-        let us_governed = median_of(&|| timed(|| run_governed(&p, &db, &armed).unwrap()).1);
+        let us_governed =
+            median_of(&|| timed(|| run_governed_traced(&p, &db, &armed).unwrap().0).1);
         let same = run(&p, &db, &base).unwrap().table_str("TC").unwrap()
-            == run_governed(&p, &db, &armed)
+            == run_governed_traced(&p, &db, &armed)
                 .unwrap()
+                .0
                 .table_str("TC")
                 .unwrap();
         rows.push(Row {
@@ -412,7 +419,7 @@ fn main() {
         });
 
         let tight = Budget::from_limits(&base).with_cell_budget(500);
-        let (trip, us_trip) = timed(|| run_governed(&p, &db, &tight).unwrap_err());
+        let (trip, us_trip) = timed(|| run_governed_traced(&p, &db, &tight).unwrap_err());
         let tripped = match &trip {
             tabular_algebra::AlgebraError::BudgetExceeded { partial, .. } => {
                 partial.stats.tables_produced > 0
@@ -587,7 +594,8 @@ fn main() {
         .unwrap();
         let (ok, us) = timed(|| {
             let native = eval(&p, &quads, Strategy::SemiNaive, &SlLimits::default()).unwrap();
-            let via_ta = run_translated(&p, &quads, &limits).unwrap();
+            let budget = Budget::from_limits(&limits);
+            let (via_ta, _, _) = run_translated(&p, &quads, &budget).unwrap();
             native.len() == via_ta.len() && native.iter().all(|q| via_ta.contains(q))
         });
         rows.push(Row {
@@ -600,7 +608,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     // §4.3: TA as the OLAP restructuring language (scaling spot-check).
-    // The `pivot` path now runs through `optimize::fuse_restructure`, so
+    // The `pivot` path runs through the planner's restructuring fusion, so
     // the TA column measures the fused kernel; the staged pipeline (the
     // pre-fusion chain) is timed head-to-head at every size.
     // ------------------------------------------------------------------
@@ -615,7 +623,8 @@ fn main() {
         for &(p, r) in &[(16usize, 8usize), (64, 16), (128, 32)] {
             let rel = fixtures::make_sales_relation(p, r);
             let (ta, us_ta) = timed(|| {
-                pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &limits).unwrap()
+                let budget = Budget::from_limits(&limits);
+                pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &budget).unwrap()
             });
             let (base, us_base) =
                 timed(|| pivot_direct(&rel, Symbol::name("Region"), Symbol::name("Sold")).unwrap());
@@ -639,12 +648,14 @@ fn main() {
                 &keys,
                 Symbol::name("Pivoted"),
             );
-            let fused_p = tabular_algebra::optimize::fuse_restructure(&staged_p);
+            let fused_p = plan_with_rules(&staged_p, None, &[Rule::FuseRestructure]).0;
             let db = tabular_core::Database::from_tables([rel.clone()]);
             let us_staged = median_of(&|| timed(|| run(&staged_p, &db, &limits).unwrap()).1);
             let us_fused = median_of(&|| timed(|| run(&fused_p, &db, &limits).unwrap()).1);
-            let (out_s, stats_s) = run_with_stats(&staged_p, &db, &limits).unwrap();
-            let (out_f, stats_f) = run_with_stats(&fused_p, &db, &limits).unwrap();
+            let (out_s, stats_s, _) =
+                run_governed_traced(&staged_p, &db, &Budget::from_limits(&limits)).unwrap();
+            let (out_f, stats_f, _) =
+                run_governed_traced(&fused_p, &db, &Budget::from_limits(&limits)).unwrap();
             let same = out_s.table_str("Pivoted").unwrap() == out_f.table_str("Pivoted").unwrap();
             let speedup = us_staged as f64 / us_fused.max(1) as f64;
             rows.push(Row {
@@ -702,7 +713,7 @@ fn main() {
         });
         let (ok, us) = timed(|| {
             let native = program.run(&g, 100).unwrap();
-            let via_ta = run_via_ta(&program, &g, &limits).unwrap();
+            let via_ta = run_via_ta(&program, &g, &Budget::from_limits(&limits)).unwrap();
             native.equiv(&via_ta)
         });
         rows.push(Row {
@@ -726,7 +737,8 @@ fn main() {
             Symbol::name("Pivoted"),
         );
         let db = tabular_core::Database::from_tables([rel]);
-        let (_, stats) = tabular_algebra::run_with_stats(&program, &db, &limits).unwrap();
+        let (_, stats, _) =
+            run_governed_traced(&program, &db, &Budget::from_limits(&limits)).unwrap();
         let hottest = stats.hottest();
         let breakdown: Vec<String> = hottest
             .iter()
@@ -865,9 +877,7 @@ fn main() {
     // ------------------------------------------------------------------
     let plan_bench: PlanSummary;
     {
-        use tabular_algebra::{
-            run_planned, run_planned_traced, Assignment, OpKind, Param, Program, Statement,
-        };
+        use tabular_algebra::{run_planned, Assignment, OpKind, Param, Program, Statement};
 
         const SIDE: usize = 400;
         let rel2 = |name: &str, a0: &str, a1: &str, rows: Vec<[String; 2]>| {
@@ -929,14 +939,17 @@ fn main() {
         // minimum is the sample closest to true cost under vCPU steal.
         let best_of = |f: &dyn Fn() -> u128| (0..3).map(|_| f()).min().unwrap();
         let unplanned_us = best_of(&|| timed(|| run(&program, &db, &limits).unwrap()).1);
-        let planned_us = best_of(&|| timed(|| run_planned(&program, &db, &limits).unwrap()).1);
+        let budget = Budget::from_limits(&limits);
+        let planned_us = best_of(&|| timed(|| run_planned(&program, &db, &budget).unwrap()).1);
 
         let spans_limits = EvalLimits {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out_u, _, trace_u) = run_traced(&program, &db, &spans_limits).unwrap();
-        let (out_p, stats_p, trace_p) = run_planned_traced(&program, &db, &spans_limits).unwrap();
+        let (out_u, _, trace_u) =
+            run_governed_traced(&program, &db, &Budget::from_limits(&spans_limits)).unwrap();
+        let (out_p, stats_p, trace_p, _) =
+            run_planned(&program, &db, &Budget::from_limits(&spans_limits)).unwrap();
         let product_cells = |trace: &tabular_algebra::Trace| -> usize {
             trace
                 .spans()

@@ -2,10 +2,11 @@
 //!
 //! The **canonical representation** machinery of the PODS 1996 paper (§4.1):
 //!
-//! * [`encode`] / [`decode`] — **Lemmas 4.2 / 4.3**: every tabular database
-//!   encodes into a relational database over the fixed scheme
-//!   `Rep = {Data(Tbl,Row,Col,Val), Map(Id,Entry)}` and back, exactly up to
-//!   row/column permutations and the choice of occurrence identifiers;
+//! * [`encode`](mod@encode) / [`decode`](mod@decode) — **Lemmas 4.2 /
+//!   4.3**: every tabular database encodes into a relational database
+//!   over the fixed scheme `Rep = {Data(Tbl,Row,Col,Val), Map(Id,Entry)}`
+//!   and back, exactly up to row/column permutations and the choice of
+//!   occurrence identifiers;
 //! * [`ta_programs`] — a generator emitting an actual *tabular algebra
 //!   program* `P_Rep` performing the encoding for relational-shaped schemes
 //!   (the executable core of Lemma 4.2);

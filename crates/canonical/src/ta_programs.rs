@@ -10,8 +10,8 @@
 //! fixed relational scheme `Rep`. The fully width-polymorphic program of
 //! the unavailable technical report (which also encodes tables with data
 //! in attribute positions, via data-driven switching) is substituted by
-//! the native [`crate::encode`]; both agree on their common domain, which
-//! the tests check via `decode ∘ run(P_Rep) = id`.
+//! the native [`crate::encode`](fn@crate::encode); both agree on their
+//! common domain, which the tests check via `decode ∘ run(P_Rep) = id`.
 //!
 //! The construction leans on exactly the derived tricks the paper
 //! sketches in §3.3–3.4:

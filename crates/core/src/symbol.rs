@@ -145,8 +145,9 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// Parse the grid cell syntax used by [`Table::from_grid`]
-/// (crate::Table::from_grid) and the serde representation:
+/// Parse the grid cell syntax used by
+/// [`Table::from_grid`](crate::Table::from_grid) and the serde
+/// representation:
 ///
 /// * `"_"` or `"⊥"` → ⊥
 /// * `"n:xyz"` → the name `xyz`

@@ -24,7 +24,9 @@ use crate::error::{Result, SlError};
 use crate::quads::QuadDb;
 use crate::stratify::stratify;
 use std::collections::HashMap;
+use tabular_algebra::{Budget, EvalStats, Trace};
 use tabular_core::{Istr, Symbol};
+use tabular_relational::compile::run_compiled;
 use tabular_relational::expr::RelExpr;
 use tabular_relational::program::FoProgram;
 use tabular_relational::relation::RelDatabase;
@@ -498,28 +500,11 @@ pub fn order_relation(input: &QuadDb) -> tabular_relational::relation::Relation 
     ord
 }
 
-/// Run a SchemaLog_d program *through the tabular algebra*: the quad view
-/// becomes the `Quad` relation, the program translates to `FO + while`
-/// ([`translate`] — or [`translate_with_order`] with the materialized
-/// `Ord` relation, when the program uses order built-ins) and then to TA
-/// (Theorem 4.1), the TA interpreter runs it, and the final quads are read
-/// back.
-pub fn run_translated(
-    program: &SlProgram,
-    input: &QuadDb,
-    limits: &tabular_algebra::EvalLimits,
-) -> Result<QuadDb> {
-    Ok(run_translated_traced(program, input, limits)?.0)
-}
-
-/// Like [`run_translated`], additionally returning the TA evaluator's
-/// statistics and structured trace for the translated program — the
-/// observability path through the whole SchemaLog_d → FO → TA stack.
-pub fn run_translated_traced(
-    program: &SlProgram,
-    input: &QuadDb,
-    limits: &tabular_algebra::EvalLimits,
-) -> Result<(QuadDb, tabular_algebra::EvalStats, tabular_algebra::Trace)> {
+/// Translate a SchemaLog_d program to `FO + while` ([`translate`] — or
+/// [`translate_with_order`] with the materialized `Ord` relation, when
+/// the program uses order built-ins) and embed its input as the `Quad`
+/// (and `Ord`) relations it reads.
+fn translate_and_embed(program: &SlProgram, input: &QuadDb) -> Result<(FoProgram, RelDatabase)> {
     let ordered = uses_order(program);
     let fo = if ordered {
         translate_with_order(program)?
@@ -530,100 +515,11 @@ pub fn run_translated_traced(
     if ordered {
         relations.push(order_relation(input));
     }
-    let db = RelDatabase::from_relations(relations);
-    let (out, stats, trace) =
-        tabular_relational::compile::run_compiled_traced(&fo, &db, &["Quad"], limits)?;
-    let quad =
-        out.get(quad_rel())
-            .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
-                quad_rel(),
-            )))?;
-    Ok((QuadDb::from_relation(quad), stats, trace))
+    Ok((fo, RelDatabase::from_relations(relations)))
 }
 
-/// Like [`run_translated_traced`], but governed by a
-/// [`tabular_algebra::Budget`]: the underlying TA run honors the
-/// budget's deadline, run-cell allowance, and cancellation token, so a
-/// diverging or oversized SchemaLog_d program trips
-/// [`tabular_algebra::AlgebraError::BudgetExceeded`] with the partial
-/// stats and trace of the translated run.
-pub fn run_translated_governed(
-    program: &SlProgram,
-    input: &QuadDb,
-    budget: &tabular_algebra::Budget,
-) -> Result<(QuadDb, tabular_algebra::EvalStats, tabular_algebra::Trace)> {
-    let ordered = uses_order(program);
-    let fo = if ordered {
-        translate_with_order(program)?
-    } else {
-        translate(program)?
-    };
-    let mut relations = vec![input.to_relation(quad_rel())];
-    if ordered {
-        relations.push(order_relation(input));
-    }
-    let db = RelDatabase::from_relations(relations);
-    let (out, stats, trace) =
-        tabular_relational::compile::run_compiled_governed(&fo, &db, &["Quad"], budget)?;
-    let quad =
-        out.get(quad_rel())
-            .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
-                quad_rel(),
-            )))?;
-    Ok((QuadDb::from_relation(quad), stats, trace))
-}
-
-/// Like [`run_translated_governed`], but the compiled TA program goes
-/// through the cost-based planner (`tabular_algebra::plan`) before
-/// evaluation; the planner's decision report for the full
-/// SchemaLog_d → FO → TA stack is returned alongside the run artifacts.
-pub fn run_translated_planned(
-    program: &SlProgram,
-    input: &QuadDb,
-    budget: &tabular_algebra::Budget,
-) -> Result<(
-    QuadDb,
-    tabular_algebra::EvalStats,
-    tabular_algebra::Trace,
-    tabular_algebra::PlanReport,
-)> {
-    let ordered = uses_order(program);
-    let fo = if ordered {
-        translate_with_order(program)?
-    } else {
-        translate(program)?
-    };
-    let mut relations = vec![input.to_relation(quad_rel())];
-    if ordered {
-        relations.push(order_relation(input));
-    }
-    let db = RelDatabase::from_relations(relations);
-    let (out, stats, trace, report) =
-        tabular_relational::compile::run_compiled_planned(&fo, &db, &["Quad"], budget)?;
-    let quad =
-        out.get(quad_rel())
-            .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
-                quad_rel(),
-            )))?;
-    Ok((QuadDb::from_relation(quad), stats, trace, report))
-}
-
-/// Run the same translation but stop at the FO layer (reference point for
-/// the TA path; useful in benches to separate translation cost from TA
-/// interpretation cost).
-pub fn run_fo(program: &SlProgram, input: &QuadDb, max_iters: usize) -> Result<QuadDb> {
-    let ordered = uses_order(program);
-    let fo = if ordered {
-        translate_with_order(program)?
-    } else {
-        translate(program)?
-    };
-    let mut relations = vec![input.to_relation(quad_rel())];
-    if ordered {
-        relations.push(order_relation(input));
-    }
-    let db = RelDatabase::from_relations(relations);
-    let out = fo.run(&db, max_iters)?;
+/// Read the final quads back from the `Quad` relation.
+fn read_quads(out: &RelDatabase) -> Result<QuadDb> {
     let quad =
         out.get(quad_rel())
             .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
@@ -632,13 +528,44 @@ pub fn run_fo(program: &SlProgram, input: &QuadDb, max_iters: usize) -> Result<Q
     Ok(QuadDb::from_relation(quad))
 }
 
+/// Run a SchemaLog_d program *through the tabular algebra* under a
+/// [`Budget`]: the quad view becomes the `Quad` relation, the program
+/// translates to `FO + while` and then to TA (Theorem 4.1), the TA
+/// interpreter runs it, and the final quads are read back. Also returns
+/// the TA evaluator's statistics and structured trace for the translated
+/// program — the observability path through the whole
+/// SchemaLog_d → FO → TA stack. A diverging or oversized program trips
+/// [`tabular_algebra::AlgebraError::BudgetExceeded`] with the partial
+/// stats and trace of the translated run.
+pub fn run_translated(
+    program: &SlProgram,
+    input: &QuadDb,
+    budget: &Budget,
+) -> Result<(QuadDb, EvalStats, Trace)> {
+    let (fo, db) = translate_and_embed(program, input)?;
+    let (out, stats, trace) = run_compiled(&fo, &db, &["Quad"], budget)?;
+    Ok((read_quads(&out)?, stats, trace))
+}
+
+/// Run the same translation but stop at the FO layer (reference point for
+/// the TA path; useful in benches to separate translation cost from TA
+/// interpretation cost).
+pub fn run_fo(program: &SlProgram, input: &QuadDb, max_iters: usize) -> Result<QuadDb> {
+    let (fo, db) = translate_and_embed(program, input)?;
+    read_quads(&fo.run(&db, max_iters)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::{eval, SlLimits, Strategy};
     use crate::parser::parse;
-    use tabular_algebra::EvalLimits;
+    use tabular_algebra::{run_planned, EvalLimits};
     use tabular_relational::relation::Relation;
+
+    fn budget() -> Budget {
+        Budget::default()
+    }
 
     fn sales_quads() -> QuadDb {
         QuadDb::from_relations(&RelDatabase::from_relations([Relation::new(
@@ -656,7 +583,7 @@ mod tests {
         for q in native.iter() {
             assert!(via_fo.contains(q), "FO path missing {q:?}");
         }
-        let via_ta = run_translated(&p, input, &EvalLimits::default()).unwrap();
+        let via_ta = run_translated(&p, input, &budget()).unwrap().0;
         assert_eq!(native.len(), via_ta.len(), "native vs TA sizes differ");
         for q in native.iter() {
             assert!(via_ta.contains(q), "TA path missing {q:?}");
@@ -670,8 +597,9 @@ mod tests {
             trace: tabular_algebra::TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out, stats, trace) = run_translated_traced(&p, &sales_quads(), &traced).unwrap();
-        let plain = run_translated(&p, &sales_quads(), &EvalLimits::default()).unwrap();
+        let (out, stats, trace) =
+            run_translated(&p, &sales_quads(), &Budget::from_limits(&traced)).unwrap();
+        let plain = run_translated(&p, &sales_quads(), &budget()).unwrap().0;
         assert_eq!(out.len(), plain.len(), "tracing must not change results");
         assert!(!trace.is_empty(), "translated TA statements produce spans");
         assert_eq!(trace.per_op_micros(), stats.op_micros);
@@ -683,9 +611,12 @@ mod tests {
         let p = parse("pr[T : pair -> P] :- sales[T : part -> P], sales[T : region -> v:east].")
             .unwrap();
         let input = sales_quads();
-        let budget = tabular_algebra::Budget::from_limits(&EvalLimits::default());
-        let (out, stats, _, report) = run_translated_planned(&p, &input, &budget).unwrap();
-        let plain = run_translated(&p, &input, &EvalLimits::default()).unwrap();
+        let (fo, db) = translate_and_embed(&p, &input).unwrap();
+        let compiled = tabular_relational::compile(&fo);
+        let (ta_out, stats, _, report) =
+            run_planned(&compiled, &db.to_tabular(), &budget()).unwrap();
+        let out = read_quads(&RelDatabase::from_tabular(&ta_out, &[quad_rel()]).unwrap()).unwrap();
+        let plain = run_translated(&p, &input, &budget()).unwrap().0;
         assert_eq!(out.len(), plain.len(), "planning must not change results");
         for q in plain.iter() {
             assert!(out.contains(q), "planned path missing {q:?}");

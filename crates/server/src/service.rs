@@ -50,8 +50,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tabular_algebra::{
-    parser, pretty, run_planned_governed_traced, AlgebraError, Budget, CancelToken, EvalLimits,
-    EvalStats, PlanReport, Program, Trace, TraceLevel,
+    parser, pretty, run_planned, AlgebraError, Budget, CancelToken, EvalLimits, EvalStats,
+    PlanReport, Program, Trace, TraceLevel,
 };
 use tabular_core::{interner, io, Database};
 
@@ -455,7 +455,7 @@ impl Service {
 /// Plan one program against the snapshot and run it under its budget
 /// share; the planner's report is kept only when the client asked for it.
 fn run_one(program: &Program, db: &Database, budget: &Budget, want_plan: bool) -> RunOutcome {
-    run_planned_governed_traced(program, db, budget)
+    run_planned(program, db, budget)
         .map(|(out, stats, trace, report)| (out, stats, trace, want_plan.then_some(report)))
 }
 

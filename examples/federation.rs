@@ -48,8 +48,9 @@ fn main() {
     .expect("program parses");
 
     let out = fed
-        .run_program(&program, "main", &EvalLimits::default())
-        .expect("federated run succeeds");
+        .run_program(&program, "main", &Budget::default())
+        .expect("federated run succeeds")
+        .0;
 
     let warehouse = out.member("warehouse").expect("warehouse member created");
     println!("warehouse.Sales (cross-tab over the merged data):");

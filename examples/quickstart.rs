@@ -56,7 +56,7 @@ fn main() {
         db.table_str("Sales").unwrap(),
         Symbol::name("Region"),
         Symbol::name("Sold"),
-        &EvalLimits::default(),
+        &Budget::default(),
     )
     .expect("pivot runs");
     pivoted.set_name(Symbol::name("Cross"));

@@ -88,8 +88,9 @@ fn main() {
         &SlLimits::default(),
     )
     .unwrap();
-    let via_ta = run_translated(&ta_fragment, &quads, &EvalLimits::default())
-        .expect("translation + TA run succeed");
+    let via_ta = run_translated(&ta_fragment, &quads, &Budget::default())
+        .expect("translation + TA run succeed")
+        .0;
     let native_rel = native.to_relations(&[Symbol::name("eastern")]);
     let ta_rel = via_ta.to_relations(&[Symbol::name("eastern")]);
     assert!(

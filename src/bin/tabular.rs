@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! tabular run program.ta --table sales.csv [--table more.csv …]
-//!         [--out Name …] [--optimize] [--plan] [--stats] [--trace]
+//!         [--out Name …] [--plan] [--stats] [--trace]
 //!         [--deadline-ms N] [--cell-budget N]
 //! ```
 //!
@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 use tables_paradigm::algebra::{
-    optimize, parser, pretty, run_governed_traced, AlgebraError, Budget, EvalLimits, EvalStats,
+    parser, pretty, run_governed_traced, run_planned, AlgebraError, Budget, EvalLimits, EvalStats,
     Trace, TraceLevel,
 };
 use tables_paradigm::core::{interner, io, Database, Symbol};
@@ -29,7 +29,6 @@ struct Options {
     program_path: String,
     tables: Vec<String>,
     outputs: Vec<String>,
-    optimize: bool,
     plan: bool,
     stats: bool,
     trace: bool,
@@ -38,7 +37,7 @@ struct Options {
 }
 
 const USAGE: &str = "usage: tabular run <program.ta> --table <file.csv> [--table …] \
-[--out <Name> …] [--optimize] [--plan] [--stats] [--trace] [--deadline-ms <N>] [--cell-budget <N>]\n       \
+[--out <Name> …] [--plan] [--stats] [--trace] [--deadline-ms <N>] [--cell-budget <N>]\n       \
 tabular fmt <program.ta>\n\
 \n\
 --plan              run the cost-based planner against the loaded tables'\n\
@@ -58,7 +57,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
         program_path: String::new(),
         tables: Vec::new(),
         outputs: Vec::new(),
-        optimize: false,
         plan: false,
         stats: false,
         trace: false,
@@ -73,7 +71,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
             "--out" => opts
                 .outputs
                 .push(it.next().ok_or("--out needs a table name")?.clone()),
-            "--optimize" => opts.optimize = true,
             "--plan" => opts.plan = true,
             "--stats" => opts.stats = true,
             "--trace" => opts.trace = true,
@@ -109,7 +106,7 @@ fn load_database(paths: &[String]) -> Result<Database, String> {
 fn execute(command: &str, opts: &Options) -> Result<String, String> {
     let source = std::fs::read_to_string(&opts.program_path)
         .map_err(|e| format!("{}: {e}", opts.program_path))?;
-    let mut program = parser::parse(&source).map_err(|e| e.to_string())?;
+    let program = parser::parse(&source).map_err(|e| e.to_string())?;
 
     if command == "fmt" {
         return Ok(pretty::render(&program));
@@ -119,15 +116,6 @@ fn execute(command: &str, opts: &Options) -> Result<String, String> {
     }
 
     let db = load_database(&opts.tables)?;
-    if opts.optimize {
-        program = optimize(&program);
-    }
-    let mut plan_section = String::new();
-    if opts.plan {
-        let (planned, report) = tables_paradigm::algebra::plan(&program, &db);
-        program = planned;
-        plan_section = format!("-- plan --\n{}", pretty::render_plan(&report));
-    }
     let limits = EvalLimits {
         trace: if opts.trace {
             TraceLevel::Spans
@@ -143,7 +131,16 @@ fn execute(command: &str, opts: &Options) -> Result<String, String> {
     if let Some(cells) = opts.cell_budget {
         budget = budget.with_cell_budget(cells);
     }
-    let (result, stats, trace) = match run_governed_traced(&program, &db, &budget) {
+    let outcome = if opts.plan {
+        run_planned(&program, &db, &budget).map(|(result, stats, trace, report)| {
+            let plan = format!("-- plan --\n{}", pretty::render_plan(&report));
+            (result, stats, trace, plan)
+        })
+    } else {
+        run_governed_traced(&program, &db, &budget)
+            .map(|(result, stats, trace)| (result, stats, trace, String::new()))
+    };
+    let (result, stats, trace, plan_section) = match outcome {
         Ok(parts) => parts,
         // A budget trip still reports the partial stats and trace it
         // carries — the graceful-degradation contract of the governor.
@@ -153,7 +150,6 @@ fn execute(command: &str, opts: &Options) -> Result<String, String> {
                 unreachable!("matched BudgetExceeded above");
             };
             msg.push('\n');
-            msg.push_str(&plan_section);
             msg.push_str(&render_observability(opts, &partial.stats, &partial.trace));
             return Err(msg);
         }
@@ -308,21 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn optimize_flag_is_accepted() {
-        let program = write_temp("opt.ta", "T <- COPY(Sales)\n");
-        let (cmd, opts) = parse_args(&[
-            "run".into(),
-            program,
-            "--table".into(),
-            sales_csv(),
-            "--optimize".into(),
-        ])
-        .unwrap();
-        let out = execute(&cmd, &opts).unwrap();
-        assert!(out.contains("| T "));
-    }
-
-    #[test]
     fn plan_flag_appends_plan_section() {
         // Textual programs name every intermediate, and the planner's
         // rewrites only touch single-read *scratch* intermediates (fusing
@@ -342,6 +323,34 @@ mod tests {
         assert!(out.contains("| T "), "planned program still runs:\n{out}");
         assert!(out.contains("-- plan --"), "plan section:\n{out}");
         assert!(out.contains("plan: no rewrites"), "report:\n{out}");
+    }
+
+    /// `--plan` runs the planned entry point, so a traced run's trace
+    /// leads with the planner's decisions: the user-named overwrite
+    /// pivot fuses, and the trace says so.
+    #[test]
+    fn plan_flag_traces_planner_decisions() {
+        let program = write_temp(
+            "pivot.ta",
+            "Cross <- GROUP[by {Region} on {Sold}](Sales)\n\
+             Cross <- CLEANUP[by {Part} on {_}](Cross)\n\
+             Cross <- PURGE[on {Sold} by {Region}](Cross)\n",
+        );
+        let (cmd, opts) = parse_args(&[
+            "run".into(),
+            program,
+            "--table".into(),
+            sales_csv(),
+            "--plan".into(),
+            "--trace".into(),
+        ])
+        .unwrap();
+        let out = execute(&cmd, &opts).unwrap();
+        let trace = out.split("-- trace --").nth(1).expect("trace section");
+        assert!(
+            trace.contains("plan [fuse-restructure]"),
+            "plan span in the trace:\n{out}"
+        );
     }
 
     #[test]

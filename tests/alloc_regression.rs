@@ -170,7 +170,8 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         while_strategy: WhileStrategy::Delta,
         ..EvalLimits::default()
     };
-    let (out, run_stats) = run_with_stats(&program, &input, &limits).unwrap();
+    let (out, run_stats, _) =
+        run_governed_traced(&program, &input, &Budget::from_limits(&limits)).unwrap();
 
     assert!(run_stats.snapshots >= 1, "the run snapshots its input");
     assert!(
@@ -308,7 +309,7 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let fused_out = pivot(&rel, col, val, &EvalLimits::default()).unwrap();
+    let fused_out = pivot(&rel, col, val, &Budget::default()).unwrap();
     ARMED.store(false, Ordering::SeqCst);
     let fused_bytes = BYTES.load(Ordering::SeqCst);
 
@@ -542,7 +543,8 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         let input = chain(row_attrs);
         BYTES.store(0, Ordering::SeqCst);
         ARMED.store(true, Ordering::SeqCst);
-        let (out, run_stats) = run_with_stats(&tc, &input, &limits).unwrap();
+        let (out, run_stats, _) =
+            run_governed_traced(&tc, &input, &Budget::from_limits(&limits)).unwrap();
         ARMED.store(false, Ordering::SeqCst);
         closure_bytes.push(BYTES.load(Ordering::SeqCst));
         assert_eq!(

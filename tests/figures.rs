@@ -84,7 +84,7 @@ fn fig1_info2_to_info4() {
         info2.table_str("Sales").unwrap(),
         Symbol::name("Sold"),
         Symbol::name("Region"),
-        &limits(),
+        &Budget::from_limits(&limits()),
     )
     .unwrap();
     let p = parse("Sales <- SPLIT[on {Region}](Sales)").unwrap();

@@ -86,7 +86,13 @@ fn pivot_four_ways() {
     let rel = fixtures::make_sales_relation(9, 5);
     let limits = EvalLimits::default();
 
-    let via_olap = pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &limits).unwrap();
+    let via_olap = pivot(
+        &rel,
+        Symbol::name("Region"),
+        Symbol::name("Sold"),
+        &Budget::from_limits(&limits),
+    )
+    .unwrap();
     let via_baseline = pivot_direct(&rel, Symbol::name("Region"), Symbol::name("Sold")).unwrap();
 
     let program = parse(
@@ -107,7 +113,10 @@ fn pivot_four_ways() {
          branch.Sales <- PURGE[on {Sold} by {Region}](branch.Sales)",
     )
     .unwrap();
-    let fed_out = fed.run_program(&fed_program, "main", &limits).unwrap();
+    let fed_out = fed
+        .run_program(&fed_program, "main", &Budget::from_limits(&limits))
+        .unwrap()
+        .0;
     let via_fed = fed_out
         .member("branch")
         .unwrap()

@@ -404,7 +404,7 @@ proptest! {
             &t,
             Symbol::name("C"),
             Symbol::name("M"),
-            &EvalLimits::default(),
+            &Budget::default(),
         ).expect("pivot");
         let direct = tables_paradigm::olap::baseline::pivot_direct(
             &t,
@@ -602,9 +602,9 @@ proptest! {
     #[test]
     fn pivot_unpivot_round_trip(t in arb_fact_table()) {
         prop_assume!(t.height() > 0);
-        let cross = pivot(&t, Symbol::name("C"), Symbol::name("M"), &EvalLimits::default())
+        let cross = pivot(&t, Symbol::name("C"), Symbol::name("M"), &Budget::default())
             .expect("pivot");
-        let back = unpivot(&cross, Symbol::name("M"), Symbol::name("C"), &EvalLimits::default())
+        let back = unpivot(&cross, Symbol::name("M"), Symbol::name("C"), &Budget::default())
             .expect("unpivot");
         prop_assert_eq!(back.height(), t.height());
     }
